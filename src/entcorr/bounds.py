@@ -3,10 +3,15 @@
 The central object is the nonincreasing curve xi(x) bounding the two-qubit
 entanglement of formation of the internal state by the amount x of
 correlations with an external system. For the Bures and Hellinger
-correlation measures the curve is u(y(x)) with a piecewise closed form u;
-the g4 grid search recomputes it as an infimum of the spectral entropy
-s22 over iso-correlation slices of the probability simplex, which also
-covers the mutual-information case where no closed form is available.
+correlation measures the curve is u(y(x)) with a piecewise closed form u.
+The g4 slice solvers recompute it as the infimum of the spectral entropy
+s22 over an iso-correlation slice of the probability simplex. Each returns
+the spectrum it attains, so its value never lies below the infimum: a
+refined grid search for the distance measures, and an exact two-family
+solver for the mutual information, where no closed form exists. On the
+slice 2 H(p) = x the concurrence cap p1 - p3 - 2 sqrt(p2 p4) is largest at
+the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
+(1 - 3t, t, t, t); one bisection per family lands on the slice.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import as_kind, c_max, f_value
-from .qcore import DomainError, random_spectrum, validate_spectrum, worker_rng
+from .qcore import DomainError, shannon_entropy, validate_spectrum
 
 LN2 = math.log(2.0)
 
@@ -235,6 +240,18 @@ def spectrum_at_f(kind: str, x: float, base=None, tol: float = 1e-12) -> np.ndar
 # g4: infimum of s22 over an iso-correlation slice
 # ---------------------------------------------------------------------------
 
+def optimal_slice_spectrum(kind: str, x: float) -> np.ndarray:
+    """Spectrum minimizing s22 on the slice f(p) = x (closed-form cases)."""
+    y = float(_y_of_x(as_kind(kind), x))
+    if y == 0.0:
+        return np.array([1.0])
+    if y <= 0.5:
+        return np.array([1.0 - y, y])
+    if y <= 2.0 / 3.0:
+        return np.array([1.0 - y, 1.0 - y, 2.0 * y - 1.0])
+    return np.array([1.0 - y, 1.0 - y, 1.0 - y, 3.0 * y - 2.0])
+
+
 def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: float) -> np.ndarray:
     """Ordering constraints of the slice maximization, taken verbatim."""
     eps = 1e-12
@@ -246,12 +263,11 @@ def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: float) -> np.ndarray:
     )
 
 
-def _g4_distance(kind: str, x: float, grid_resolution: int) -> float:
-    from .measures import s22_ef
-
+def _g4_distance(kind: str, x: float, grid_resolution: int) -> np.ndarray:
+    """Best spectrum of a refined (p2, p4) grid on the slice p1 = 1 - y(x)."""
     y = float(_y_of_x(kind, x))
     if y <= 0.0:
-        return 0.0
+        return np.array([1.0])
     p2_hi = min(1.0 - y, y)
     p4_hi = y / 3.0
 
@@ -276,125 +292,79 @@ def _g4_distance(kind: str, x: float, grid_resolution: int) -> float:
     if not np.isfinite(z_best):
         raise DomainError(f"no feasible spectrum on the slice at x = {x}")
     p = np.array([1.0 - y, p2b, y - p2b - p4b, p4b])
-    p = np.sort(np.clip(p, 0.0, None))[::-1]
-    p = p[p > 0.0] / p.sum()
-    return float(s22_ef(p))
+    return _spectrum(np.sort(np.clip(p, 0.0, None))[::-1])
 
 
-def _h4(q) -> float:
-    total = 0.0
-    for t in q:
-        if t > 0.0:
-            total -= t * math.log(t)
-    return total
+def _spectrum(q: np.ndarray) -> np.ndarray:
+    """Descending nonnegative q without its zeros, normalized."""
+    q = q[q > 0.0]
+    return q / q.sum()
 
 
-def _project_to_entropy(p, target: float) -> list[float]:
-    """Move p along a mixing path until its Shannon entropy hits target.
+def _geometric(r: float) -> np.ndarray:
+    """(1, r, r^2) / norm: the p4 = 0 face at its Lagrange point."""
+    return _spectrum(np.array([1.0, r, r * r]))
 
-    Mixing toward the uniform vector raises the entropy monotonically,
-    mixing toward the point mass lowers it, so a bisection on the mixing
-    weight always lands on the target level.
+
+def _isotropic(t: float) -> np.ndarray:
+    """(1 - 3t, t, t, t): the spectra of the Werner states."""
+    return _spectrum(np.array([1.0 - 3.0 * t, t, t, t]))
+
+
+def _on_entropy_level(family, top: float, h: float) -> np.ndarray:
+    """Member of family on [0, top] with Shannon entropy h, by bisection.
+
+    The entropy of each family rises with its parameter (the partial sums
+    of the spectrum fall), so the level is crossed exactly once.
     """
-    p = sorted((max(t, 0.0) for t in p), reverse=True)
-    norm = sum(p)
-    p = [t / norm for t in p]
-    cur = _h4(p)
-    if abs(cur - target) < 1e-13:
-        return p
-    below = cur < target
-    if below:
-        other = [1.0 / len(p)] * len(p)
-    else:
-        other = [0.0] * len(p)
-        other[0] = 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(48):
+    lo, hi = 0.0, top
+    for _ in range(1100):  # two adjacent doubles are reached within 1076 halvings
         mid = 0.5 * (lo + hi)
-        q = [(1.0 - mid) * a + mid * b for a, b in zip(p, other)]
-        if (_h4(q) < target) == below:
+        if mid <= lo or mid >= hi:
+            break
+        if shannon_entropy(family(mid)) < h:
             lo = mid
         else:
             hi = mid
-    q = [(1.0 - hi) * a + hi * b for a, b in zip(p, other)]
-    norm = sum(q)
-    return [t / norm for t in q]
+    return min((family(lo), family(hi)), key=lambda p: abs(shannon_entropy(p) - h))
 
 
-def _s22_of_desc4(q) -> float:
-    """s22 of a descending probability 4-list (zeros allowed); scalar path."""
-    p = list(q) + [0.0] * (4 - len(q))
-    cap = p[0] - p[2] - 2.0 * math.sqrt(p[1] * p[3])
-    if cap <= 0.0:
-        return LN2
-    s = math.sqrt(max(0.0, 1.0 - cap * cap))
-    a = (1.0 + s) / 2.0
-    b = 1.0 - a
-    ent = -a * math.log(a) - (b * math.log(b) if b > 0.0 else 0.0)
-    return LN2 - ent
+def _g4_mutual_information(x: float) -> np.ndarray:
+    """Spectrum with the largest concurrence cap on the slice 2 H(p) = x.
 
-
-def _g4_mutual_information(
-    x: float,
-    restarts: int,
-    steps: int,
-    rng: np.random.Generator,
-    candidates=(),
-) -> float:
-    target_h = x / 2.0
-    if target_h < 0.0 or target_h > math.log(4.0) + 1e-9:
-        raise DomainError(f"infeasible mutual-information level {x}")
-    target_h = min(target_h, math.log(4.0))
-    if target_h <= 0.0:
-        return 0.0
-
-    starts = [[0.25] * 4, [0.5, 0.5, 0.0, 0.0], [0.4, 0.3, 0.3, 0.0]]
-    starts += [list(random_spectrum(4, rng)) for _ in range(max(0, restarts - len(starts)))]
-    best = math.inf
-    for q0 in starts:
-        q = _project_to_entropy(q0, target_h)
-        cur = _s22_of_desc4(sorted(q, reverse=True))
-        step = 0.25
-        rejected = 0
-        for _ in range(steps):
-            noise = rng.standard_normal(4)
-            trial = [max(a + step * n, 0.0) for a, n in zip(q, noise)]
-            if sum(trial) <= 0.0:
-                continue
-            trial = _project_to_entropy(trial, target_h)
-            val = _s22_of_desc4(sorted(trial, reverse=True))
-            if val < cur - 1e-15:
-                q, cur, rejected = trial, val, 0
-            else:
-                rejected += 1
-                if rejected >= 20:
-                    step *= 0.5
-                    rejected = 0
-        best = min(best, cur)
-    for cand in candidates:
-        cand = [float(t) for t in cand if t > 0.0]
-        if abs(_h4(cand) - target_h) < 1e-6:
-            best = min(best, _s22_of_desc4(sorted(cand, reverse=True)))
-    return best
-
-
-def g_d_numeric(
-    kind: str,
-    d: int,
-    x: float,
-    grid_resolution: int = 200,
-    restarts: int = 10,
-    rng: np.random.Generator | None = None,
-    candidates=(),
-    steps: int | None = None,
-) -> float:
-    """Approximate infimum of s22 over spectra with correlation value x.
-
-    For the distance measures the slice fixes p1, reducing the problem to a
-    two-variable grid search; for the mutual information a projected random
-    search with local refinement is used. Always an over-estimate of the
-    true infimum (it reports the best feasible point found).
+    On the face p4 = 0 the cap p1 - p3 is linear and {H >= h} is convex,
+    so its maximum on H = h is the Lagrange point ln p1 - ln p2 =
+    ln p2 - ln p3: the geometric spectrum, which exists for h <= ln 3.
+    The other candidate is the isotropic line (1 - 3t, t, t, t). The better
+    of the two is the optimum of the slice; the test suite checks this
+    against a dense (p2, p4) grid, on both sides of the switch near x = 2.055.
     """
+    from .measures import max_concurrence
+
+    h = x / 2.0
+    candidates = [_on_entropy_level(_isotropic, 0.25, h)]
+    if h <= math.log(3.0):
+        candidates.append(_on_entropy_level(_geometric, 1.0, h))
+    return max(candidates, key=max_concurrence)
+
+
+def g_d_numeric(kind: str, d: int, x: float, grid_resolution: int = 200) -> float:
+    """Infimum of s22 over the spectra with correlation value x, from above.
+
+    The slice solver of the kind returns a spectrum p on the slice
+    f(p) = x, and the value is s22_ef(p). Being attained by a feasible
+    point, it never lies below the infimum.
+
+    For the distance measures the slice fixes p1, which leaves a
+    two-variable grid search with local refinement (``grid_resolution``
+    points per axis). For the mutual information the slice is 2 H(p) = x
+    and the solution is exact: the concurrence cap p1 - p3 - 2 sqrt(p2 p4)
+    is largest either at the geometric spectrum on the face p4 = 0 or on
+    the isotropic line (1 - 3t, t, t, t), and each of the two families
+    meets the slice once, found by bisection.
+    """
+    from .measures import s22_ef
+
     kind = as_kind(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
@@ -403,15 +373,11 @@ def g_d_numeric(
     if x < -1e-12 or x > c_max(kind, 4) + 1e-9:
         raise DomainError(f"infeasible correlation level {x} for kind {kind!r}")
     x = min(max(x, 0.0), c_max(kind, 4))
-    if kind in ("bures", "hellinger"):
-        return _g4_distance(kind, x, grid_resolution)
     if kind == "mutual_information":
-        if rng is None:
-            rng = worker_rng(0, 0)
-        if steps is None:
-            steps = 2 * grid_resolution
-        return _g4_mutual_information(x, restarts, steps, rng, candidates)
-    raise DomainError(f"unknown kind {kind!r}")
+        p = _g4_mutual_information(x)
+    else:
+        p = _g4_distance(kind, x, grid_resolution)
+    return float(s22_ef(p))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +393,14 @@ class BoundCurve:
     bounds: np.ndarray = field(repr=False)
 
 
-def bound_curve(kind: str, grid: int = 201, seed: int = 0) -> BoundCurve:
+def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     """Sample the bound curve on an equally spaced grid including endpoints.
 
-    Distance kinds sample the closed form xi; the mutual-information kind
-    samples the classical-classical curve zeta(x) = xi(2x) with xi obtained
-    from the g4 search (no closed form exists for it).
+    Distance kinds sample the closed form xi. The mutual-information kind
+    samples the classical-classical curve zeta(x) = xi(2x), where no closed
+    form exists: xi(x) = ln 2 - g_d_numeric(x), from the exact slice
+    solver. The value at each point is s22_ef of a spectrum on its slice,
+    so the curve never lies above the true one.
     """
     kind = as_kind(kind)
     if grid < 2:
@@ -440,12 +408,7 @@ def bound_curve(kind: str, grid: int = 201, seed: int = 0) -> BoundCurve:
     if kind in ("bures", "hellinger"):
         xs = np.linspace(0.0, c_max(kind, 4), grid)
         return BoundCurve(kind, xs, np.asarray(xi_ef(kind, xs), dtype=float))
-    if kind == "mutual_information":
-        xs = np.linspace(0.0, math.log(4.0), grid)
-        rng = worker_rng(seed, 0)
-        vals = np.array(
-            [LN2 - g_d_numeric(kind, 4, 2.0 * x, restarts=6, rng=rng) for x in xs]
-        )
-        vals = np.minimum.accumulate(vals)  # enforce the known monotone shape
-        return BoundCurve(kind, xs, vals)
-    raise DomainError(f"unknown kind {kind!r}")
+    xs = np.linspace(0.0, math.log(4.0), grid)
+    vals = np.array([LN2 - g_d_numeric(kind, 4, 2.0 * x) for x in xs])
+    vals = np.minimum.accumulate(vals)  # enforce the known monotone shape
+    return BoundCurve(kind, xs, vals)

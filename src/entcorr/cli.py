@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -21,7 +20,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import LN2, bound_curve, g_d_numeric, spectrum_at_f, xi_ef, zeta_ef
+from .bounds import (
+    LN2,
+    bound_curve,
+    g_d_numeric,
+    optimal_slice_spectrum,
+    spectrum_at_f,
+    xi_ef,
+    zeta_ef,
+)
 from .correlations import c_distance_numeric, c_max, c_on_pure, f_value
 from .measures import entanglement_of_formation, max_ef_over_spectrum_numeric, max_ef_state, s22_ef
 from .qcore import (
@@ -44,12 +51,11 @@ class VerificationError(RuntimeError):
 _CURVE_KINDS = ("bures", "hellinger", "mutual_information")
 _DISTANCE_KINDS = ("bures", "hellinger")
 
-# Internal grid used by `verify` to pre-tabulate the mutual-information
-# bound (the per-sample spectrum is always added as a slice candidate, so
-# correctness does not depend on this resolution).
+# Levels at which `verify` tabulates the exact mutual-information slice
+# solution; each sample's bound also takes its own spectrum as a slice
+# point, so correctness does not depend on this resolution.
 _MI_BOUND_GRID = 41
-_AUX_STREAM = 0  # rng stream reserved for grid precomputation
-# Sample workers use streams 1..workers; grid points use point index + 1.
+# Sample workers use rng streams 1..workers; grid points use point index + 1.
 
 
 @dataclass
@@ -132,9 +138,11 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list[float]],
             lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
         _write_text(cfg.out, "\n".join(lines) + "\n")
         return
-    report: dict = {"config": asdict(cfg), "summary": summary}
-    if cfg.samples <= 10_000 or cfg.full or cfg.command != "verify":
-        report["records"] = [dict(zip(header, row)) for row in rows]
+    report = {
+        "config": asdict(cfg),
+        "summary": summary,
+        "records": [dict(zip(header, row)) for row in rows],
+    }
     _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
 
 
@@ -143,7 +151,7 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list[float]],
 # ---------------------------------------------------------------------------
 
 def run_curve(cfg: RunConfig) -> None:
-    curve = bound_curve(cfg.kind, cfg.grid, seed=cfg.seed)
+    curve = bound_curve(cfg.kind, cfg.grid)
     rows = [[float(x), float(b)] for x, b in zip(curve.xs, curve.bounds)]
     summary = {
         "x_max": float(curve.xs[-1]),
@@ -157,15 +165,9 @@ def run_curve(cfg: RunConfig) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _mi_bound_table(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+def _mi_bound_table() -> tuple[np.ndarray, np.ndarray]:
     xs = np.linspace(0.0, c_max("mutual_information", 4), _MI_BOUND_GRID)
-    rng = worker_rng(cfg.seed, _AUX_STREAM)
-    g = np.array(
-        [
-            g_d_numeric("mutual_information", 4, float(x), restarts=4, steps=150, rng=rng)
-            for x in xs
-        ]
-    )
+    g = np.array([g_d_numeric("mutual_information", 4, float(x)) for x in xs])
     return xs, g
 
 
@@ -194,7 +196,7 @@ def _verify_chunk(args) -> list[tuple]:
 
 def run_verify(cfg: RunConfig) -> None:
     if cfg.kind == "mutual_information":
-        mi_xs, mi_g = _mi_bound_table(cfg)
+        mi_xs, mi_g = _mi_bound_table()
         mi_xs, mi_g = tuple(map(float, mi_xs)), tuple(map(float, mi_g))
     else:
         mi_xs = mi_g = ()
@@ -257,24 +259,6 @@ def run_verify(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # tightness
 # ---------------------------------------------------------------------------
-
-def optimal_slice_spectrum(kind: str, x: float) -> np.ndarray:
-    """Spectrum minimizing s22 on the slice f(p) = x (closed-form cases)."""
-    if kind == "bures":
-        y = x * x - x ** 4 / 4.0
-    elif kind == "hellinger":
-        y = x * x / 2.0
-    else:
-        raise DomainError(f"no closed-form optimal spectrum for {kind!r}")
-    y = min(max(y, 0.0), 0.75)
-    if y == 0.0:
-        return np.array([1.0])
-    if y <= 0.5:
-        return np.array([1.0 - y, y])
-    if y <= 2.0 / 3.0:
-        return np.array([1.0 - y, 1.0 - y, 2.0 * y - 1.0])
-    return np.array([1.0 - y, 1.0 - y, 1.0 - y, 3.0 * y - 2.0])
-
 
 def run_tightness(cfg: RunConfig) -> None:
     restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 20

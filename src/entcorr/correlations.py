@@ -23,7 +23,6 @@ from .qcore import (
     schmidt,
     split_dims,
     validate_density_matrix,
-    validate_pure_state,
     validate_spectrum,
     von_neumann_entropy,
     worker_rng,

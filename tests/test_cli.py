@@ -1,0 +1,52 @@
+"""Command-line contract: determinism of the output bytes and the exit codes."""
+
+from entcorr.cli import main
+
+
+def run_to_text(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+class TestDeterminism:
+    def test_mutual_information_curve_does_not_depend_on_seed(self, tmp_path):
+        texts = [
+            run_to_text(
+                tmp_path, f"curve-{seed}.csv",
+                ["curve", "--kind", "mutual_information", "--grid", "5", "--seed", seed],
+            )
+            for seed in ("0", "7")
+        ]
+        lines = [text.splitlines() for text in texts]
+        assert [ln for ln in lines[0] if ln.startswith("# seed=")] == ["# seed=0"]
+        assert [ln for ln in lines[1] if ln.startswith("# seed=")] == ["# seed=7"]
+        assert [ln for ln in lines[0] if not ln.startswith("# seed=")] == [
+            ln for ln in lines[1] if not ln.startswith("# seed=")
+        ]
+        assert len(lines[0]) == 5 + 6  # 5 meta lines, the header and 5 rows
+
+    def test_verify_repeat_is_byte_identical(self, tmp_path):
+        argv = ["verify", "--samples", "200"]
+        first = run_to_text(tmp_path, "first.csv", argv)
+        second = run_to_text(tmp_path, "second.csv", argv)
+        assert first == second
+        assert first.count("\n") == 9 + 1 + 200  # meta lines, header, rows
+
+
+class TestExitCodes:
+    def test_unsupported_kind_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        argv = ["tightness", "--kind", "mutual_information", "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_of_one_is_a_config_error(self, tmp_path, capsys):
+        assert main(["curve", "--grid", "1", "--out", str(tmp_path / "c.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_missing_output_directory_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "curve.csv"
+        assert main(["curve", "--grid", "3", "--out", str(out)]) == 3
+        assert "i/o error" in capsys.readouterr().err
