@@ -304,7 +304,6 @@ def run_tightness(cfg: RunConfig) -> None:
 
 def run_ccbound(cfg: RunConfig) -> None:
     restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 10
-    inner = cfg.opt_iters if cfg.opt_iters is not None else 500
     xs = np.linspace(0.0, f_value("bures", np.full(4, 0.25)), cfg.grid)
     rows = []
     worst_c = 0.0
@@ -315,9 +314,7 @@ def run_ccbound(cfg: RunConfig) -> None:
         p = spectrum_at_f("bures", x)  # Hellinger CC correlation equals f_db(p)
         rho = strictly_correlated_cc(p, 4, 4)
         rng = worker_rng(cfg.seed, i + 1)
-        c_num = c_distance_numeric(
-            rho, (4, 4), "hellinger", restarts=restarts, inner=inner, rng=rng
-        )
+        c_num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=restarts, rng=rng)
         e_a = entanglement_of_formation(partial_trace(rho, (4, 4), keep=1))
         rows.append([x, zeta, c_num, c_num - x, e_a])
         worst_c = max(worst_c, abs(c_num - x))

@@ -3,10 +3,13 @@
 Mutual information is evaluated exactly. The Bures and Hellinger
 distance-to-product-states measures have closed forms on pure states and
 on strictly correlated classical-classical states, driven by the spectral
-functions f below; for arbitrary states an alternating local search over
-product states, finished by an exact monotone ascent (Hellinger, Bures on
-pure targets and Bures on mixed targets), gives an upper bound on the
-infimum: the value returned is attained by a product state, so it errs high.
+functions f below. For arbitrary states, exact alternating ascents of the
+affinity over product states (a closed-form factor update for Hellinger
+and for Bures on pure targets, a monotone Hradil step for Bures on mixed
+targets) run from the marginals, from maximally mixed factors and from
+random full-rank factors. The best value is attained by a product state,
+so it is an upper bound on the infimum: it errs high. The objective is not
+jointly concave in the two factors, which is why random starts remain.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from enum import Enum
 import numpy as np
 
 from .qcore import (
+    TOL_SUPPORT,
     DomainError,
     matrix_sqrt_psd,
     partial_trace,
+    random_density,
     schmidt,
     split_dims,
     validate_density_matrix,
@@ -125,38 +130,15 @@ def c_on_pure(psi, split, kind) -> float:
 # Numeric infimum over product states
 # ---------------------------------------------------------------------------
 
-def _tri_indices(d: int):
-    return np.tril_indices(d)
-
-
-def _density_from_params(x: np.ndarray, d: int) -> np.ndarray:
-    """Lower-triangular complex factor L -> L L^dagger / tr, always a state."""
-    ell = np.zeros((d, d), dtype=complex)
-    rows, cols = _tri_indices(d)
-    n = rows.size
-    ell[rows, cols] = x[:n] + 1j * x[n:]
-    rho = ell @ ell.conj().T
-    tr = np.trace(rho).real
-    if tr <= 0.0:
-        rho = np.eye(d, dtype=complex)
-        tr = float(d)
-    return rho / tr
-
-
-def _sqrt_psd_unchecked(m: np.ndarray) -> np.ndarray:
-    w, vmat = np.linalg.eigh(m)
-    return (vmat * np.sqrt(np.clip(w, 0.0, None))) @ vmat.conj().T
-
-
 class _Affinity:
     """tr-overlap objective whose maximization minimizes the distance.
 
     Bures: affinity = tr sqrt(sqrt(rho) sigma sqrt(rho)); Hellinger:
     affinity = tr(sqrt(rho) sqrt(sigma)). Both give D = sqrt(2 - 2 aff).
     For a pure rho = |psi><psi| the affinities reduce to quadratic forms
-    in psi, which the loop exploits. ``prep`` precomputes the per-factor
-    data (the square root, when needed) so the inactive side of an
-    alternating sweep is not recomputed on every trial.
+    in psi, which the ascents exploit. ``prep`` maps a factor state to the
+    variable an ascent works on: its square root for Hellinger, the state
+    itself for Bures.
     """
 
     def __init__(self, rho: np.ndarray, d_a: int, d_b: int, kind: str):
@@ -173,7 +155,7 @@ class _Affinity:
 
     def prep(self, delta: np.ndarray) -> np.ndarray:
         if self.kind == "hellinger":
-            return _sqrt_psd_unchecked(delta)
+            return matrix_sqrt_psd(delta)
         return delta
 
     def value(self, prep_a: np.ndarray, prep_b: np.ndarray) -> float:
@@ -182,13 +164,9 @@ class _Affinity:
                 m = self.psi_mat
                 return float(np.vdot(m, prep_a @ m @ prep_b.T).real)
             return float(np.einsum("ijkl,ki,lj->", self.sqrt_rho4, prep_a, prep_b).real)
-        if self.pure:
-            m = self.psi_mat
-            overlap = np.vdot(m, prep_a @ m @ prep_b.T).real
-            return float(math.sqrt(max(0.0, overlap)))
-        sigma = np.kron(prep_a, prep_b)
-        w = np.linalg.eigvalsh(self.sqrt_rho @ sigma @ self.sqrt_rho)
-        return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+        m = self.psi_mat  # mixed Bures targets go through _bures_value_grad
+        overlap = np.vdot(m, prep_a @ m @ prep_b.T).real
+        return float(math.sqrt(max(0.0, overlap)))
 
 
 def _positive_part_unit(h: np.ndarray) -> np.ndarray | None:
@@ -225,7 +203,7 @@ def _polish_hellinger(obj: _Affinity, prep_a, prep_b, iters: int = 80):
             xb = cand
         new = obj.value(xa, xb)
         if new <= val + 1e-16:
-            return xa, xb, max(new, val)
+            return xa, xb, new
         val = new
     return xa, xb, val
 
@@ -246,7 +224,7 @@ def _polish_bures_pure(obj: _Affinity, delta_a, delta_b, iters: int = 80):
         db = np.outer(top, top.conj())
         new = obj.value(da, db)
         if new <= val + 1e-16:
-            return da, db, max(new, val)
+            return da, db, new
         val = new
     return da, db, val
 
@@ -256,9 +234,8 @@ def _bures_value_grad(obj: _Affinity, sigma: np.ndarray):
     in sigma, G = sqrt(rho) (sqrt(rho) sigma sqrt(rho))^(-1/2) sqrt(rho) (the
     inverse root taken on the support)."""
     w, vmat = np.linalg.eigh(obj.sqrt_rho @ sigma @ obj.sqrt_rho)
-    w = np.clip(w, 0.0, None)
-    root = np.sqrt(w)
-    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=w > 1e-14 * w[-1])
+    root = np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))
+    inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
     half = obj.sqrt_rho @ vmat
     return float(root.sum()), (half * inv_root) @ half.conj().T
 
@@ -301,31 +278,59 @@ def _polish_bures_mixed(obj: _Affinity, sigma_a, sigma_b, iters: int = 200):
     return sigma_a, sigma_b, val
 
 
+def _closest_product(rho: np.ndarray, d_a: int, d_b: int, kind: str, restarts: int,
+                     rng: np.random.Generator):
+    """Smallest distance over ``restarts`` exact ascents, with the product
+    state (sigma_A, sigma_B) that attains it. Inputs are not validated.
+
+    Restart 0 starts from the marginals of rho, restart 1 from maximally
+    mixed factors and the rest from full-rank random factors. Starts are
+    full rank because a Hradil step R sigma R^dagger keeps the rank.
+    """
+    obj = _Affinity(rho, d_a, d_b, kind)
+    best = (-math.inf, None, None)
+    for r in range(restarts):
+        if r == 0:
+            sigma_a = partial_trace(rho, (d_a, d_b), keep=1)
+            sigma_b = partial_trace(rho, (d_a, d_b), keep=2)
+        elif r == 1:
+            sigma_a, sigma_b = np.eye(d_a) / d_a, np.eye(d_b) / d_b
+        else:
+            sigma_a, sigma_b = random_density(d_a, d_a, rng), random_density(d_b, d_b, rng)
+        prep_a, prep_b = obj.prep(sigma_a), obj.prep(sigma_b)
+        if kind == "hellinger":
+            # the ascent works on sqrt(sigma) with unit Frobenius norm
+            root_a, root_b, aff = _polish_hellinger(obj, prep_a, prep_b)
+            sigma_a, sigma_b = root_a @ root_a, root_b @ root_b
+        elif obj.pure:
+            sigma_a, sigma_b, aff = _polish_bures_pure(obj, prep_a, prep_b)
+        else:
+            sigma_a, sigma_b, aff = _polish_bures_mixed(obj, prep_a, prep_b)
+        if aff > best[0]:
+            best = (aff, sigma_a, sigma_b)
+    aff, sigma_a, sigma_b = best
+    return float(math.sqrt(max(0.0, 2.0 - 2.0 * aff))), sigma_a, sigma_b
+
+
 def c_distance_numeric(
     rho,
     split,
     kind,
     restarts: int = 10,
-    alternations: int = 5,
-    inner: int = 500,
     rng: np.random.Generator | None = None,
-    step: float = 0.1,
 ) -> float:
     """Upper bound on the distance from rho to the product-state set.
 
-    Alternating accept-if-improve local search over Cholesky-style
-    parametrizations of the two factors, followed by an exact alternating
-    ascent from each restart's endpoint: a closed-form factor update for
-    Hellinger and for Bures on pure targets, and a diluted Hradil step on
-    the root fidelity for Bures on mixed targets. The first restart starts
-    from the marginals of rho, the second from maximally mixed factors,
-    the rest from random factors; the best distance over all restarts is
-    returned. The value is that of a product state, so it errs high: never
-    below the true infimum. The objective is not concave in both factors
-    jointly, so an ascent can stall at a local maximum: from the marginal
-    and maximally mixed starts alone it stops above the infimum on some
-    mixed targets, which is why the random walk and random restarts are
-    kept in front of it.
+    Each restart runs an exact alternating ascent of the affinity from its
+    own start: a closed-form factor update for Hellinger and for Bures on
+    pure targets, and a diluted Hradil step on the root fidelity for Bures
+    on mixed targets. The first restart starts from the marginals of rho,
+    the second from maximally mixed factors, the rest from full-rank random
+    factors drawn from ``rng``; the best distance over all restarts is
+    returned. The value is attained by a product state, so it errs high:
+    never below the true infimum. The objective is not jointly concave in
+    the two factors, so an ascent can stall at a local maximum; the random
+    starts are there to reach the basins that the two fixed starts miss.
     """
     kind = as_kind(kind)
     if kind == "mutual_information":
@@ -336,67 +341,8 @@ def c_distance_numeric(
         raise DomainError(f"state dimension {rho.shape[0]} does not match split {(d_a, d_b)}")
     if d_a * d_b > 64:
         raise DomainError("supported up to total dimension 64")
+    if restarts < 1:
+        raise DomainError("need restarts >= 1")
     if rng is None:
         rng = worker_rng(0, 0)
-
-    objective = _Affinity(rho, d_a, d_b, kind)
-    n_a = d_a * (d_a + 1)  # real parameter count of one triangular factor
-    n_b = d_b * (d_b + 1)
-
-    def params_from_state(state: np.ndarray, d: int) -> np.ndarray:
-        ell = np.linalg.cholesky(
-            state + 1e-12 * np.eye(d)
-        )
-        rows, cols = _tri_indices(d)
-        vals = ell[rows, cols]
-        return np.concatenate([vals.real, vals.imag])
-
-    marg_a = partial_trace(rho, (d_a, d_b), keep=1)
-    marg_b = partial_trace(rho, (d_a, d_b), keep=2)
-
-    best_aff = -math.inf
-    for r in range(restarts):
-        if r == 0:
-            x_a = params_from_state(marg_a, d_a)
-            x_b = params_from_state(marg_b, d_b)
-        elif r == 1:
-            x_a = params_from_state(np.eye(d_a) / d_a, d_a)
-            x_b = params_from_state(np.eye(d_b) / d_b, d_b)
-        else:
-            x_a = rng.standard_normal(n_a)
-            x_b = rng.standard_normal(n_b)
-        prep_a = objective.prep(_density_from_params(x_a, d_a))
-        prep_b = objective.prep(_density_from_params(x_b, d_b))
-        cur = objective.value(prep_a, prep_b)
-        s = step
-        rejected = 0
-        for _ in range(alternations):
-            for active in ("a", "b"):
-                for _ in range(inner):
-                    if active == "a":
-                        trial = x_a + s * rng.standard_normal(n_a)
-                        trial_prep = objective.prep(_density_from_params(trial, d_a))
-                        val = objective.value(trial_prep, prep_b)
-                    else:
-                        trial = x_b + s * rng.standard_normal(n_b)
-                        trial_prep = objective.prep(_density_from_params(trial, d_b))
-                        val = objective.value(prep_a, trial_prep)
-                    if val > cur:
-                        cur, rejected = val, 0
-                        if active == "a":
-                            x_a, prep_a = trial, trial_prep
-                        else:
-                            x_b, prep_b = trial, trial_prep
-                    else:
-                        rejected += 1
-                        if rejected >= 50:
-                            s *= 0.5
-                            rejected = 0
-        if kind == "hellinger":
-            _, _, cur = _polish_hellinger(objective, prep_a, prep_b)
-        elif objective.pure:
-            _, _, cur = _polish_bures_pure(objective, prep_a, prep_b)
-        else:
-            _, _, cur = _polish_bures_mixed(objective, prep_a, prep_b)
-        best_aff = max(best_aff, cur)
-    return float(math.sqrt(max(0.0, 2.0 - 2.0 * best_aff)))
+    return _closest_product(rho, d_a, d_b, kind, restarts, rng)[0]

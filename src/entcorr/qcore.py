@@ -27,6 +27,10 @@ TOL_NORM = 1e-9
 TOL_ZERO = 1e-12
 # Round-trip checks (purify -> partial trace and the like).
 TOL_NUM = 1e-8
+# Relative to the largest eigenvalue, the rounding level of a PSD product
+# such as sqrt(rho) sigma sqrt(rho): below it an eigenvalue counts as zero,
+# so its square root does not add noise to a root fidelity.
+TOL_SUPPORT = 1e-14
 
 _MASK64 = (1 << 64) - 1
 
@@ -249,7 +253,7 @@ def bures_distance(rho, sigma) -> float:
     sigma = validate_density_matrix(sigma)
     a = matrix_sqrt_psd(rho)
     w = np.linalg.eigvalsh(a @ sigma @ a)
-    root_fid = np.sqrt(np.clip(w, 0.0, None)).sum()
+    root_fid = np.sqrt(w[w > TOL_SUPPORT * w[-1]]).sum()
     return float(np.sqrt(max(0.0, 2.0 - 2.0 * root_fid)))
 
 

@@ -1,5 +1,8 @@
 """Command-line contract: determinism of the output bytes and the exit codes."""
 
+import csv
+
+from entcorr import cli
 from entcorr.cli import main
 
 
@@ -50,3 +53,17 @@ class TestExitCodes:
         out = tmp_path / "missing" / "curve.csv"
         assert main(["curve", "--grid", "3", "--out", str(out)]) == 3
         assert "i/o error" in capsys.readouterr().err
+
+    def test_violation_is_a_verification_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "xi_ef", lambda kind, x: -1.0)  # every slack < 0
+        argv = ["verify", "--samples", "20", "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == 4
+        assert "verification failed" in capsys.readouterr().err
+
+
+class TestCCBound:
+    def test_default_grid_matches_closed_form(self, tmp_path):
+        text = run_to_text(tmp_path, "cc.csv", ["ccbound"])
+        rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert len(rows) == 20
+        assert all(abs(float(row["c_gap"])) <= 1e-12 for row in rows)

@@ -5,6 +5,7 @@ import pytest
 
 from entcorr.correlations import (
     MonotoneKind,
+    _closest_product,
     c_distance_numeric,
     c_max,
     c_on_pure,
@@ -17,8 +18,10 @@ from entcorr.correlations import (
 )
 from entcorr.qcore import (
     DomainError,
+    bures_distance,
     haar_pure,
     haar_unitary,
+    hellinger_distance,
     partial_trace,
     projector,
     random_density,
@@ -127,10 +130,7 @@ class TestCDistanceNumeric:
     def test_product_state_reaches_zero(self):
         rho = np.kron(random_density(2, 2, RNG), random_density(2, 2, RNG))
         for kind in ("bures", "hellinger"):
-            val = c_distance_numeric(
-                rho, (2, 2), kind, restarts=2, alternations=2, inner=50,
-                rng=worker_rng(3, 1),
-            )
+            val = c_distance_numeric(rho, (2, 2), kind, restarts=2, rng=worker_rng(3, 1))
             assert val < 1e-6
 
     def test_pure_states_match_closed_form(self):
@@ -139,21 +139,15 @@ class TestCDistanceNumeric:
             rho = projector(psi)
             for kind in ("bures", "hellinger"):
                 exact = c_on_pure(psi, (4, 2), kind)
-                num = c_distance_numeric(
-                    rho, (4, 2), kind, restarts=3, alternations=2, inner=60,
-                    rng=worker_rng(5, i),
-                )
+                num = c_distance_numeric(rho, (4, 2), kind, restarts=3, rng=worker_rng(5, i))
                 assert -1e-9 <= num - exact <= 1e-3
 
     def test_strictly_correlated_cc_matches_f_db(self):
         for i in range(5):
             p = random_spectrum(4, RNG)
             rho = strictly_correlated_cc(p, 4, 4)
-            num = c_distance_numeric(
-                rho, (4, 4), "hellinger", restarts=4, alternations=2, inner=100,
-                rng=worker_rng(6, i),
-            )
-            assert abs(num - f_db(p)) < 1e-3
+            num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=4, rng=worker_rng(6, i))
+            assert abs(num - f_db(p)) < 1e-12
 
     def test_monotone_under_discarding(self):
         # tracing out part of B is a local operation, so the correlation of
@@ -162,14 +156,31 @@ class TestCDistanceNumeric:
             psi = haar_pure(16, RNG)
             rho_ab1 = partial_trace(projector(psi), (8, 2), keep=1)
             for kind, budget in (
-                ("bures", dict(restarts=4, alternations=3, inner=150)),
-                ("hellinger", dict(restarts=2, alternations=2, inner=60)),
+                ("bures", dict(restarts=4)),
+                ("hellinger", dict(restarts=2)),
             ):
                 full = c_on_pure(psi, (4, 4), kind)
                 num = c_distance_numeric(
                     rho_ab1, (4, 2), kind, rng=worker_rng(31, i), **budget
                 )
                 assert num <= full + 1e-3
+
+    def test_witness_attains_the_value(self):
+        # fixed rng streams, so the module RNG stream of the other tests is untouched
+        cc = strictly_correlated_cc(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4)
+        psi = haar_pure(16, worker_rng(41))
+        mixed = partial_trace(projector(psi), (8, 2), keep=1)
+        for rho, split, kind, distance in (
+            (cc, (4, 4), "hellinger", hellinger_distance),
+            (mixed, (4, 2), "bures", bures_distance),
+        ):
+            value, sigma_a, sigma_b = _closest_product(rho, *split, kind, 4, worker_rng(7))
+            assert value == c_distance_numeric(rho, split, kind, restarts=4, rng=worker_rng(7))
+            assert abs(distance(rho, np.kron(sigma_a, sigma_b)) - value) <= 1e-9
+
+    def test_rejects_no_restarts(self):
+        with pytest.raises(DomainError):
+            c_distance_numeric(np.eye(4) / 4, (2, 2), "hellinger", restarts=0)
 
     def test_rejects_mutual_information(self):
         with pytest.raises(DomainError):
@@ -192,7 +203,7 @@ class TestEnumKinds:
                 assert f_tilde(kind, p) == f_tilde(kind.value, p)
             if kind is not MonotoneKind.MUTUAL_INFORMATION:
                 got = [
-                    c_distance_numeric(rho, (2, 2), k, restarts=2, alternations=1, inner=20)
+                    c_distance_numeric(rho, (2, 2), k, restarts=2)
                     for k in (kind, kind.value)
                 ]
                 assert got[0] == got[1]
