@@ -9,6 +9,7 @@ explicit state attaining it and an independent unitary-orbit search.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -38,12 +39,17 @@ _BELL_MINUS = (_E[0] - _E[3]) / math.sqrt(2.0)
 MAX_EF_BASIS = np.column_stack([_BELL_PLUS, _E[1], _BELL_MINUS, _E[2]]).astype(complex)
 
 
-def _concurrence_unchecked(rho: np.ndarray) -> float:
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    """Concurrence of a stack of 4x4 states, shaped (..., 4, 4); unchecked."""
     flipped = _YY @ rho.conj() @ _YY
     ev = np.linalg.eigvals(rho @ flipped)
     mu = np.sqrt(np.clip(ev.real, 0.0, None))
-    mu[::-1].sort()
-    return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
+    mu[..., ::-1].sort(axis=-1)
+    # The rows of the transpose are numpy scalars for a single state, which
+    # keeps its arithmetic off the slower path of 0-d arrays.
+    m = mu.T
+    c = (m[0] - m[1] - m[2] - m[3]).T
+    return np.where(c > 0.0, c, 0.0)
 
 
 def concurrence(rho) -> float:
@@ -56,7 +62,7 @@ def concurrence(rho) -> float:
     rho = validate_density_matrix(rho)
     if rho.shape != (4, 4):
         raise DomainError(f"concurrence needs a 4x4 state, got {rho.shape}")
-    return _concurrence_unchecked(rho)
+    return float(_concurrence(rho))
 
 
 def entanglement_of_formation(rho) -> float:
@@ -100,6 +106,67 @@ def max_ef_state(p) -> np.ndarray:
     return rho
 
 
+# Steps of proposal noise drawn at a time from each chain's stream, so the
+# noise held in memory is O(restarts x block) rather than O(restarts x iters).
+_NOISE_BLOCK = 20
+
+
+def _ef_on_orbit(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """E_f of the orbit points U diag(q) U^dagger for a stack of unitaries."""
+    # The orbit points are density matrices by construction; skip validation.
+    return bounds.v(_concurrence((u * q) @ u.conj().swapaxes(-1, -2)))
+
+
+def _noise_blocks(stream: np.random.Generator, iters: int):
+    """One chain's proposal noise, (re, im) pairs of 4x4 normals, in blocks."""
+    for done in range(0, iters, _NOISE_BLOCK):
+        yield stream.standard_normal((min(_NOISE_BLOCK, iters - done), 2, 4, 4))
+
+
+def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, step: float,
+                  rng: np.random.Generator):
+    """Best E_f over ``restarts`` hill-climbing chains on the unitary orbit
+    of diag(q), with the unitary U of the best chain. Inputs are not
+    validated.
+
+    All chains step together as one (restarts, 4, 4) stack. What a chain
+    draws does not depend on what it accepts, so each chain gets the
+    stretch of ``rng`` that running the restarts one after another would
+    give it: the stream is walked once, restart by restart, drawing the
+    Haar start, copying the generator and skipping the chain's ``iters``
+    noise draws; each copy then hands out its chain's noise block by block.
+    Values and the final state of ``rng`` are those of the sequential loop.
+    Acceptance compares E_f, not the concurrence: v rounds distinct
+    concurrences to equal values, so the two comparisons can disagree.
+    """
+    u = np.empty((restarts, 4, 4), dtype=complex)
+    streams = []
+    for r in range(restarts):
+        u[r] = np.eye(4) if r == 0 else haar_unitary(4, rng)
+        streams.append(copy.deepcopy(rng))
+        for _ in _noise_blocks(rng, iters):
+            pass
+    cur = _ef_on_orbit(u, q)
+    s = np.full(restarts, float(step))
+    rejected = np.zeros(restarts, dtype=int)
+    for blocks in zip(*(_noise_blocks(stream, iters) for stream in streams)):
+        g = np.stack(blocks, axis=1)
+        g = g[:, :, 0] + 1j * g[:, :, 1]
+        for h in (g + g.conj().swapaxes(-1, -2)) / 2.0:
+            w, vmat = np.linalg.eigh(s[:, None, None] * h)
+            u_trial = (vmat * np.exp(1j * w)[:, None, :]) @ vmat.conj().swapaxes(-1, -2) @ u
+            val = _ef_on_orbit(u_trial, q)
+            up = val > cur
+            u = np.where(up[:, None, None], u_trial, u)
+            cur = np.where(up, val, cur)
+            rejected = np.where(up, 0, rejected + 1)
+            halve = rejected >= 50
+            s = np.where(halve, s * 0.5, s)
+            rejected = np.where(halve, 0, rejected)
+    best = int(np.argmax(cur))
+    return float(cur[best]), u[best]
+
+
 def max_ef_over_spectrum_numeric(
     p,
     restarts: int = 20,
@@ -109,41 +176,21 @@ def max_ef_over_spectrum_numeric(
 ) -> float:
     """Best E_f found over the unitary orbit of diag(p) by local search.
 
-    Random-restart hill climbing on U(4): propose U <- exp(i step H) U with
-    H a random Hermitian direction, accept if E_f improves, halve the step
-    after 50 consecutive rejections. Independent of the closed-form cap, it
-    serves as its oracle.
+    Random-restart hill climbing on U(4): each chain starts at the identity
+    (the first) or at a Haar-random unitary, proposes U <- exp(i step H) U
+    with H a random Hermitian direction, accepts if E_f improves, and halves
+    its step after 50 consecutive rejections. Independent of the closed-form
+    cap, it serves as its oracle. The value is attained by a state on the
+    orbit, so it errs low: it never exceeds ln 2 - s22_ef(p).
     """
     q = pad_spectrum(p, 4)
+    if restarts < 1:
+        raise DomainError("need restarts >= 1")
+    if iters < 0:
+        raise DomainError("need iters >= 0")
     if rng is None:
         rng = worker_rng(0, 0)
-
-    def ef_of(unitary):
-        # The orbit point is a density matrix by construction; skip validation.
-        rho = (unitary * q) @ unitary.conj().T
-        return float(bounds.v(_concurrence_unchecked(rho)))
-
-    best = 0.0
-    for r in range(restarts):
-        u_cur = np.eye(4, dtype=complex) if r == 0 else haar_unitary(4, rng)
-        cur = ef_of(u_cur)
-        s = step
-        rejected = 0
-        for _ in range(iters):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = (g + g.conj().T) / 2.0
-            w, vmat = np.linalg.eigh(s * h)
-            u_trial = (vmat * np.exp(1j * w)) @ vmat.conj().T @ u_cur
-            val = ef_of(u_trial)
-            if val > cur:
-                u_cur, cur, rejected = u_trial, val, 0
-            else:
-                rejected += 1
-                if rejected >= 50:
-                    s *= 0.5
-                    rejected = 0
-        best = max(best, cur)
-    return best
+    return _max_ef_orbit(q, restarts, iters, step, rng)[0]
 
 
 # ---------------------------------------------------------------------------

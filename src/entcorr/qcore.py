@@ -239,12 +239,17 @@ def majorizes(p, q, atol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix."""
+    """Principal square root of a PSD Hermitian matrix.
+
+    Eigenvalues below TOL_SUPPORT times the largest count as zero: they are
+    rounding noise of a rank-deficient matrix, and their square roots would
+    not be.
+    """
     m = validate_hermitian(m)
     w, v = np.linalg.eigh(m)
     if w[0] < -TOL_PSD:
         raise DomainError(f"negative eigenvalue {w[0]} beyond tolerance")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    return (v * np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))) @ v.conj().T
 
 
 def bures_distance(rho, sigma) -> float:

@@ -67,3 +67,16 @@ class TestCCBound:
         rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
         assert len(rows) == 20
         assert all(abs(float(row["c_gap"])) <= 1e-12 for row in rows)
+
+
+class TestTightness:
+    def test_repeat_is_byte_identical_and_tight(self, tmp_path):
+        argv = ["tightness", "--grid", "3", "--seed", "0"]
+        first = run_to_text(tmp_path, "first.csv", argv)
+        assert run_to_text(tmp_path, "second.csv", argv) == first
+        lines = first.splitlines()
+        assert lines[:4] == ["# command=tightness", "# kind=hellinger", "# seed=0", "# grid=3"]
+        assert lines[4].startswith("# version=")
+        rows = list(csv.DictReader(lines[5:]))
+        assert len(rows) == 3
+        assert all(abs(float(row["gap_numeric"])) <= 1e-3 for row in rows)

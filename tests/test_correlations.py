@@ -178,6 +178,22 @@ class TestCDistanceNumeric:
             assert value == c_distance_numeric(rho, split, kind, restarts=4, rng=worker_rng(7))
             assert abs(distance(rho, np.kron(sigma_a, sigma_b)) - value) <= 1e-9
 
+    def test_hellinger_value_holds_on_the_support(self):
+        # rank-2 targets: rounding-level eigenvalues of rho must not enter
+        # its square root, so the value is the distance of its witness
+        # evaluated with rho restricted to its support
+        def root(m, rank):
+            w, vmat = np.linalg.eigh(m)
+            w, vmat = np.clip(w[-rank:], 0.0, None), vmat[:, -rank:]
+            return (vmat * np.sqrt(w)) @ vmat.conj().T
+
+        rng = worker_rng(61)
+        for i in range(20):
+            rho = random_density(8, 2, rng)
+            value, sigma_a, sigma_b = _closest_product(rho, 4, 2, "hellinger", 4, worker_rng(62, i))
+            aff = np.trace(root(rho, 2) @ np.kron(root(sigma_a, 4), root(sigma_b, 2))).real
+            assert abs(math.sqrt(max(0.0, 2.0 - 2.0 * aff)) - value) <= 1e-12
+
     def test_rejects_no_restarts(self):
         with pytest.raises(DomainError):
             c_distance_numeric(np.eye(4) / 4, (2, 2), "hellinger", restarts=0)

@@ -5,6 +5,8 @@ import pytest
 
 from entcorr.bounds import LN2, beta_deform, v
 from entcorr.measures import (
+    _YY,
+    _max_ef_orbit,
     concurrence,
     entanglement_of_formation,
     is_abs_separable_2xd,
@@ -19,6 +21,7 @@ from entcorr.qcore import (
     DomainError,
     haar_unitary,
     majorizes,
+    pad_spectrum,
     projector,
     purity,
     random_density,
@@ -33,6 +36,41 @@ RNG = worker_rng(60221023)
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+
+
+def sequential_orbit_search(p, restarts, iters, rng, step=0.1):
+    """Reference: the orbit search with one chain and one scalar concurrence
+    at a time, as it ran before the chains were stacked."""
+    q = pad_spectrum(p, 4)
+
+    def ef_of(unitary):
+        rho = (unitary * q) @ unitary.conj().T
+        ev = np.linalg.eigvals(rho @ (_YY @ rho.conj() @ _YY))
+        mu = np.sqrt(np.clip(ev.real, 0.0, None))
+        mu[::-1].sort()
+        return float(v(max(0.0, mu[0] - mu[1] - mu[2] - mu[3])))
+
+    best = 0.0
+    for r in range(restarts):
+        u_cur = np.eye(4, dtype=complex) if r == 0 else haar_unitary(4, rng)
+        cur = ef_of(u_cur)
+        s = step
+        rejected = 0
+        for _ in range(iters):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = (g + g.conj().T) / 2.0
+            w, vmat = np.linalg.eigh(s * h)
+            u_trial = (vmat * np.exp(1j * w)) @ vmat.conj().T @ u_cur
+            val = ef_of(u_trial)
+            if val > cur:
+                u_cur, cur, rejected = u_trial, val, 0
+            else:
+                rejected += 1
+                if rejected >= 50:
+                    s *= 0.5
+                    rejected = 0
+        best = max(best, cur)
+    return best
 
 
 def werner(w):
@@ -210,6 +248,36 @@ class TestMaxEfNumeric:
             )
             assert numeric <= bound + 1e-6
             assert abs(entanglement_of_formation(max_ef_state(p)) - bound) < 1e-6
+
+    def test_matches_sequential_reference(self):
+        # 37 steps is not a whole number of noise blocks
+        rng = worker_rng(18)
+        for i in range(10):
+            p = random_spectrum(4, rng)
+            for iters in (37, 200):
+                ref_rng, rng_used = worker_rng(19, i), worker_rng(19, i)
+                expected = sequential_orbit_search(p, 3, iters, ref_rng)
+                assert max_ef_over_spectrum_numeric(
+                    p, restarts=3, iters=iters, rng=rng_used
+                ) == expected
+                assert rng_used.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_witness_attains_the_value(self):
+        rng = worker_rng(20)
+        for i in range(5):
+            p = random_spectrum(4, rng)
+            q = pad_spectrum(p, 4)
+            value, u = _max_ef_orbit(q, 3, 200, 0.1, worker_rng(21, i))
+            assert value == max_ef_over_spectrum_numeric(
+                p, restarts=3, iters=200, rng=worker_rng(21, i)
+            )
+            assert abs(entanglement_of_formation((u * q) @ u.conj().T) - value) <= 1e-12
+            assert value <= LN2 - s22_ef(p) + 1e-9
+
+    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iters": -1}])
+    def test_rejects_empty_budget(self, budget):
+        with pytest.raises(DomainError):
+            max_ef_over_spectrum_numeric(np.array([0.5, 0.5]), **budget)
 
 
 class TestSeparabilityConditions:
