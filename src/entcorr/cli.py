@@ -26,16 +26,25 @@ from .bounds import (
     g_d_numeric,
     optimal_slice_spectrum,
     spectrum_at_f,
+    v,
     xi_ef,
     zeta_ef,
 )
-from .correlations import c_distance_numeric, c_max, c_on_pure, f_value
-from .measures import entanglement_of_formation, max_ef_over_spectrum_numeric, max_ef_state, s22_ef
+from .correlations import _f, c_distance_numeric, c_max, c_on_pure, f_value
+from .measures import (
+    _concurrence,
+    _s22,
+    entanglement_of_formation,
+    max_ef_over_spectrum_numeric,
+    max_ef_state,
+)
 from .qcore import (
     DomainError,
     partial_trace,
     purify,
     strictly_correlated_cc,
+    validate_density_stack,
+    validate_spectrum_stack,
     worker_rng,
 )
 
@@ -55,6 +64,8 @@ _DISTANCE_KINDS = ("bures", "hellinger")
 # solution; each sample's bound also takes its own spectrum as a slice
 # point, so correctness does not depend on this resolution.
 _MI_BOUND_GRID = 41
+# Complex entries per array that one block of `verify` samples may hold.
+_VERIFY_BLOCK_ENTRIES = 1 << 14
 # Sample workers use rng streams 1..workers; grid points use point index + 1.
 
 
@@ -172,25 +183,51 @@ def _mi_bound_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verify_chunk(args) -> list[tuple]:
+    """Records (x, e, bound, slack, spectrum) of ``count`` Haar samples.
+
+    Stream order: the samples run in blocks of ``rows``, and each block
+    draws one (rows, 2, 4, dim_b) array of normals, sample by sample the real
+    then the imaginary part. Consecutive blocks therefore consume ``stream``
+    in the order of drawing one sample at a time, and the records do not
+    depend on the block size. Every step is a stacked form of the one-sample
+    step with the same rounding, so the records equal those of the
+    one-sample loop bit for bit.
+
+    Memory: ``rows`` is ``_VERIFY_BLOCK_ENTRIES`` over the entries of one
+    sample's 4 x max(dim_b, 4) matrices, at least 1, so a block's arrays hold
+    about that many complex entries, or one sample's when dim_b is larger,
+    whatever dim_b and ``count`` are. Only the returned records grow with
+    ``count``.
+    """
     kind, dim_b, count, seed, stream, mi_xs, mi_g = args
     rng = worker_rng(seed, stream)
     xmax = c_max(kind, 4)
+    mi_xs, mi_g = np.asarray(mi_xs), np.asarray(mi_g)
+    rows = max(1, _VERIFY_BLOCK_ENTRIES // (4 * max(dim_b, 4)))
     out = []
-    for _ in range(count):
-        z = rng.standard_normal((4, dim_b)) + 1j * rng.standard_normal((4, dim_b))
-        m = z / np.linalg.norm(z)
+    for done in range(0, count, rows):
+        g = rng.standard_normal((min(rows, count - done), 2, 4, dim_b))
+        z = g[:, 0] + 1j * g[:, 1]
+        # The two dot products np.linalg.norm takes of a single sample.
+        flat = z.reshape(len(z), 1, -1)
+        sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+        m = z / np.sqrt(sq)
         lam = np.linalg.svd(m, compute_uv=False) ** 2
-        lam = lam[lam > 1e-12]
-        lam = lam / lam.sum()
-        x = min(f_value(kind, lam), xmax)
-        rho_a = m @ m.conj().T
-        e = entanglement_of_formation(rho_a)
+        kept = lam > 1e-12
+        lam = np.where(kept, lam, 0.0)
+        lam = validate_spectrum_stack(lam / lam.sum(axis=-1, keepdims=True), kept)
+        x = np.minimum(_f(kind, lam), xmax)
+        rho_a = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
+        e = v(_concurrence(rho_a))
         if kind == "mutual_information":
-            idx = min(int(np.searchsorted(mi_xs, x, side="left")), len(mi_xs) - 1)
-            bound = LN2 - min(mi_g[idx], s22_ef(lam))
+            q = np.zeros((len(lam), 4))
+            q[:, : lam.shape[1]] = lam
+            idx = np.minimum(np.searchsorted(mi_xs, x, side="left"), len(mi_xs) - 1)
+            bound = LN2 - np.minimum(mi_g[idx], _s22(q))
         else:
-            bound = float(xi_ef(kind, x))
-        out.append((x, e, bound, bound - e, tuple(float(t) for t in lam)))
+            bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
+        spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), kept.sum(axis=-1).tolist()))
+        out.extend(zip(x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist(), spectra))
     return out
 
 

@@ -52,22 +52,29 @@ def as_kind(kind) -> str:
 # Spectral functions
 # ---------------------------------------------------------------------------
 
+def _f(kind: str, p: np.ndarray) -> np.ndarray:
+    """f of the kind for spectra padded with zeros, shaped (..., k); unchecked."""
+    p1 = p.T[0].T  # a numpy scalar for one spectrum, as in measures._concurrence
+    if kind == "bures":
+        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.sqrt(p1))))
+    if kind == "hellinger":
+        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - p1)))
+    return -2.0 * (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
 def f_db(p) -> float:
     """sqrt(2 (1 - sqrt(p1))): Bures correlation of a pure state."""
-    p = validate_spectrum(p)
-    return float(math.sqrt(max(0.0, 2.0 * (1.0 - math.sqrt(p[0])))))
+    return float(_f("bures", validate_spectrum(p)))
 
 
 def f_dh(p) -> float:
     """sqrt(2 (1 - p1)): Hellinger correlation of a pure state."""
-    p = validate_spectrum(p)
-    return float(math.sqrt(max(0.0, 2.0 * (1.0 - p[0]))))
+    return float(_f("hellinger", validate_spectrum(p)))
 
 
 def f_mi(p) -> float:
     """2 h(p): mutual information of a pure state with marginal spectrum p."""
-    p = validate_spectrum(p)
-    return float(-2.0 * (p * np.log(p)).sum())
+    return float(_f("mutual_information", validate_spectrum(p)))
 
 
 def f_value(kind, p) -> float:

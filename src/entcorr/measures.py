@@ -85,15 +85,25 @@ def negativity(rho, split) -> float:
 # Spectrum-level machinery
 # ---------------------------------------------------------------------------
 
+def _max_concurrence(q: np.ndarray) -> np.ndarray:
+    """Spectral concurrence cap of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
+    q1, q2, q3, q4 = q.T  # numpy scalars for one spectrum, as in _concurrence
+    return np.maximum(0.0, q1 - q3 - 2.0 * np.sqrt(q2 * q4)).T
+
+
+def _s22(q: np.ndarray) -> np.ndarray:
+    """s22 of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
+    return bounds.LN2 - bounds.v(_max_concurrence(q))
+
+
 def max_concurrence(p) -> float:
     """Largest concurrence over all two-qubit states with spectrum p."""
-    q = pad_spectrum(p, 4)
-    return float(max(0.0, q[0] - q[2] - 2.0 * math.sqrt(q[1] * q[3])))
+    return float(_max_concurrence(pad_spectrum(p, 4)))
 
 
 def s22_ef(p) -> float:
     """Spectral entropy ln 2 - v(max concurrence); caps E_f from above."""
-    return bounds.LN2 - float(bounds.v(max_concurrence(p)))
+    return float(_s22(pad_spectrum(p, 4)))
 
 
 def max_ef_state(p) -> np.ndarray:

@@ -80,26 +80,44 @@ def split_dims(split) -> tuple[int, int]:
 # Validation
 # ---------------------------------------------------------------------------
 
-def validate_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+def _one_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    return m
+
+
+def _hermitian_stack(m, tol: float = TOL_HERM) -> np.ndarray:
+    """Stack form of validate_hermitian: every matrix of an (..., d, d) array."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > tol:
         raise DomainError("matrix is not Hermitian within tolerance")
     return m
 
 
+def validate_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+    return _hermitian_stack(_one_matrix(m), tol)
+
+
 def validate_density_matrix(rho) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace; return as complex array."""
-    rho = validate_hermitian(rho)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > TOL_TRACE:
-        raise DomainError(f"trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh(rho)
-    if w[0] < -TOL_PSD:
-        raise DomainError(f"negative eigenvalue {w[0]} beyond tolerance")
+    return validate_density_stack(_one_matrix(rho))
+
+
+def validate_density_stack(rho) -> np.ndarray:
+    """Stack form of validate_density_matrix: every state of an (..., d, d) array."""
+    rho = _hermitian_stack(rho)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    dev = abs(tr - 1.0)
+    if (dev > TOL_TRACE).any():
+        raise DomainError(f"trace is {np.ravel(tr)[np.argmax(dev)]}, expected 1")
+    w = np.linalg.eigvalsh(rho).T[0]  # a numpy scalar for one state
+    if (w < -TOL_PSD).any():
+        raise DomainError(f"negative eigenvalue {w.min()} beyond tolerance")
     return rho
 
 
@@ -116,15 +134,30 @@ def validate_pure_state(psi) -> np.ndarray:
 
 
 def validate_spectrum(p) -> np.ndarray:
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size < 1:
+    return validate_spectrum_stack(np.asarray(p, dtype=float).ravel())
+
+
+def validate_spectrum_stack(p, kept=None) -> np.ndarray:
+    """Stack form of validate_spectrum: every row of an (..., k) array.
+
+    ``kept`` marks the components of each row, a prefix of it; the rest is
+    padding that the checks ignore. By default every entry is a component.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.shape[-1] < 1 or (kept is not None and not kept[..., 0].all()):
         raise DomainError("empty spectrum")
-    if np.any(p <= 0):
+    if kept is None:
+        kept = kept_after = True
+    else:
+        kept_after = kept[..., 1:]
+    if ((p <= 0) & kept).any():
         raise DomainError("spectrum components must be strictly positive")
-    if np.any(np.diff(p) > 1e-12):
+    if ((np.diff(p) > 1e-12) & kept_after).any():
         raise DomainError("spectrum components must be in decreasing order")
-    if abs(p.sum() - 1.0) > TOL_TRACE:
-        raise DomainError(f"spectrum sums to {p.sum()}, expected 1")
+    sums = p.sum(axis=-1, where=kept)
+    dev = abs(sums - 1.0)
+    if (dev > TOL_TRACE).any():
+        raise DomainError(f"spectrum sums to {np.ravel(sums)[np.argmax(dev)]}, expected 1")
     return p
 
 

@@ -1,9 +1,19 @@
 """Command-line contract: determinism of the output bytes and the exit codes."""
 
 import csv
+import json
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
 
 from entcorr import cli
+from entcorr.bounds import LN2, xi_ef
 from entcorr.cli import main
+from entcorr.correlations import c_max, f_value
+from entcorr.measures import entanglement_of_formation, s22_ef
+from entcorr.qcore import worker_rng
 
 
 def run_to_text(tmp_path, name, argv):
@@ -35,6 +45,93 @@ class TestDeterminism:
         second = run_to_text(tmp_path, "second.csv", argv)
         assert first == second
         assert first.count("\n") == 9 + 1 + 200  # meta lines, header, rows
+
+
+def per_sample_chunk(args) -> list[tuple]:
+    """`verify`'s chunk as a loop over single samples: the reference."""
+    kind, dim_b, count, seed, stream, mi_xs, mi_g = args
+    rng = worker_rng(seed, stream)
+    xmax = c_max(kind, 4)
+    out = []
+    for _ in range(count):
+        z = rng.standard_normal((4, dim_b)) + 1j * rng.standard_normal((4, dim_b))
+        m = z / np.linalg.norm(z)
+        lam = np.linalg.svd(m, compute_uv=False) ** 2
+        lam = lam[lam > 1e-12]
+        lam = lam / lam.sum()
+        x = min(f_value(kind, lam), xmax)
+        rho_a = m @ m.conj().T
+        e = entanglement_of_formation(rho_a)
+        if kind == "mutual_information":
+            idx = min(int(np.searchsorted(mi_xs, x, side="left")), len(mi_xs) - 1)
+            bound = LN2 - min(mi_g[idx], s22_ef(lam))
+        else:
+            bound = float(xi_ef(kind, x))
+        out.append((x, e, bound, bound - e, tuple(float(t) for t in lam)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def mi_table():
+    xs, g = cli._mi_bound_table()
+    return tuple(map(float, xs)), tuple(map(float, g))
+
+
+def verify_json(tmp_path, name, argv):
+    return json.loads(run_to_text(tmp_path, name, ["verify", "--format", "json", *argv]))
+
+
+class TestVerifyChunk:
+    @pytest.mark.parametrize("kind", ["hellinger", "bures", "mutual_information"])
+    @pytest.mark.parametrize("dim_b", [1, 2, 3, 16])
+    def test_matches_per_sample_reference(self, kind, dim_b, mi_table, monkeypatch):
+        table = mi_table if kind == "mutual_information" else ((), ())
+        args = (kind, dim_b, 300, 5, 1, *table)
+        expected = per_sample_chunk(args)
+        # 300 samples fill no whole block at dim_b <= 4 and one at dim_b = 16;
+        # with the smaller budget the blocks hold 7 samples, 42 full blocks and 6.
+        for entries in (cli._VERIFY_BLOCK_ENTRIES, 4 * max(dim_b, 4) * 7):
+            monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", entries)
+            got = cli._verify_chunk(args)
+            assert got == expected
+            assert all(type(t) is float for rec in got for t in (*rec[:4], *rec[4]))
+
+    def test_memory_is_bounded_at_a_large_dim_b(self):
+        tracemalloc.start()
+        try:
+            cli._verify_chunk(("hellinger", 4096, 300, 0, 1, (), ()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestVerifyOutput:
+    def test_json_records_are_dropped_past_ten_thousand_unless_full(self, tmp_path):
+        report = verify_json(tmp_path, "short.json", ["--samples", "10001"])
+        assert "records" not in report
+        assert report["summary"]["samples"] == 10001
+        full = verify_json(tmp_path, "full.json", ["--samples", "10001", "--full"])
+        assert len(full["records"]) == 10001
+        assert all(
+            list(rec) == ["idx", "x", "e", "bound", "slack", "spectrum"] for rec in full["records"]
+        )
+        assert full["summary"] == report["summary"]
+
+    def test_two_workers_merge_in_stream_order(self, tmp_path):
+        n = 301
+        one = verify_json(tmp_path, "w1.json", ["--samples", str(n)])["records"]
+        report = verify_json(tmp_path, "w2.json", ["--samples", str(n), "--workers", "2"])
+        two = report["records"]
+        assert [rec["idx"] for rec in two] == list(range(n))
+        # Worker 1 draws the first ceil(n/2) samples from stream 1, as a lone worker does.
+        head = math.ceil(n / 2)
+        assert two[:head] == one[:head]
+        assert two[head:] != one[head:]
+        slacks = [rec["slack"] for rec in two]
+        assert report["summary"]["samples"] == n
+        assert report["summary"]["violations"] == sum(s < -1e-9 for s in slacks)
+        assert report["summary"]["min_slack"] == min(slacks)
 
 
 class TestExitCodes:

@@ -27,6 +27,10 @@ from entcorr.qcore import (
     shannon_entropy,
     spectrum,
     strictly_correlated_cc,
+    validate_density_matrix,
+    validate_density_stack,
+    validate_spectrum,
+    validate_spectrum_stack,
     von_neumann_entropy,
     worker_rng,
     worker_seed,
@@ -243,6 +247,42 @@ class TestDistances:
         rho = random_state(5, RNG)
         root = matrix_sqrt_psd(rho)
         assert np.max(np.abs(root @ root - rho)) < 1e-10
+
+
+class TestStackValidators:
+    def test_density_stack_rejects_any_bad_member(self):
+        rng = worker_rng(31)
+        good = np.stack([random_state(4, rng) for _ in range(3)])
+        assert validate_density_stack(good) is not None
+        scaled = good.copy()
+        scaled[1] *= 1.1
+        skewed = good.copy()
+        skewed[2, 0, 1] += 1e-6
+        negative = good.copy()
+        negative[0] = np.diag([1.1, 0.0, 0.0, -0.1])
+        for bad in (scaled, skewed, negative, good[..., :3]):
+            with pytest.raises(DomainError):
+                validate_density_stack(bad)
+
+    def test_accepts_transposed_views(self):
+        rho = random_state(4, worker_rng(32))
+        assert np.array_equal(validate_density_matrix(rho.T), rho.T)
+        stack = np.stack([rho, rho.conj()])
+        assert validate_density_stack(stack.swapaxes(-1, -2)) is not None
+
+    def test_spectrum_stack_ignores_padding_only(self):
+        p = np.array([[0.5, 0.5, 0.0], [0.6, 0.3, 0.1]])
+        kept = p > 0.0
+        assert validate_spectrum_stack(p, kept) is p
+        with pytest.raises(DomainError):
+            validate_spectrum_stack(p, np.ones_like(kept))  # a kept zero
+        for row in ([0.3, 0.7, 0.0], [0.5, 0.4, 0.0], [0.0, 0.0, 0.0]):
+            bad = p.copy()
+            bad[0] = row
+            with pytest.raises(DomainError):
+                validate_spectrum_stack(bad, kept)
+        with pytest.raises(DomainError):
+            validate_spectrum(np.array([0.5, 0.5, 0.0]))
 
 
 class TestRandomness:
