@@ -16,7 +16,6 @@ from .bounds import (
     w_pm,
     xi_ef,
     zeta_ef,
-    zeta_mi_of_xi,
 )
 from .correlations import (
     MonotoneKind,

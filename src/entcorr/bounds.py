@@ -5,11 +5,12 @@ entanglement of formation of the internal state by the amount x of
 correlations with an external system. For the Bures and Hellinger
 correlation measures the curve is u(y(x)) with a piecewise closed form u.
 The g4 slice solvers recompute it as the infimum of the spectral entropy
-s22 over an iso-correlation slice of the probability simplex. Each returns
-the spectrum it attains, so its value never lies below the infimum: a
-refined grid search for the distance measures, and an exact two-family
-solver for the mutual information, where no closed form exists. On the
-slice 2 H(p) = x the concurrence cap p1 - p3 - 2 sqrt(p2 p4) is largest at
+s22 over an iso-correlation slice of the probability simplex. Both slice
+solvers are exact and return the spectrum they attain, so a value can only
+err high, by rounding. For the distance measures the slice fixes p1 and
+the concurrence cap p1 - p3 - 2 sqrt(p2 p4) is convex in (p2, p4), so the
+best vertex of the feasible polygon solves it. For the mutual information,
+where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
 """
@@ -118,11 +119,6 @@ def zeta_ef(kind: str, x):
     if as_kind(kind) != "hellinger":
         raise DomainError(f"no classical-classical curve for kind {kind!r}")
     return xi_ef("bures", x)
-
-
-def zeta_mi_of_xi(xi, x):
-    """CC bound for the mutual information: zeta(x) = xi(2x)."""
-    return xi(2.0 * np.asarray(x, dtype=float) if np.ndim(x) else 2.0 * float(x))
 
 
 def threshold(kind: str) -> float:
@@ -263,35 +259,32 @@ def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: float) -> np.ndarray:
     )
 
 
-def _g4_distance(kind: str, x: float, grid_resolution: int) -> np.ndarray:
-    """Best spectrum of a refined (p2, p4) grid on the slice p1 = 1 - y(x)."""
+def _g4_distance(kind: str, x: float) -> np.ndarray:
+    """Best vertex of the (p2, p4) polygon of the slice p1 = 1 - y(x).
+
+    The objective (sqrt(p2) - sqrt(p4))^2 is convex, as -sqrt(p2 p4) is, so
+    its maximum over the polygon lies at a vertex. Every vertex is a
+    pairwise intersection of the seven lines below: the four ordering
+    constraints of _z_feasible and the box p2 = 0, p2 = y, p4 = y / 3.
+    """
     y = float(_y_of_x(kind, x))
     if y <= 0.0:
         return np.array([1.0])
-    p2_hi = min(1.0 - y, y)
-    p4_hi = y / 3.0
-
-    lo2, hi2, lo4, hi4 = 0.0, p2_hi, 0.0, p4_hi
-    best = None
-    for _ in range(3):  # grid search with refinement around the best cell
-        g2 = np.linspace(lo2, hi2, grid_resolution)
-        g4 = np.linspace(lo4, hi4, grid_resolution)
-        p2, p4 = np.meshgrid(g2, g4, indexing="ij")
-        z = 1.0 - 2.0 * y + (np.sqrt(p2) - np.sqrt(p4)) ** 2
-        z = np.where(_z_feasible(p2, p4, y), z, -np.inf)
-        flat = int(np.argmax(z))  # lowest index wins ties
-        i, k = divmod(flat, grid_resolution)
-        if best is None or z[i, k] > best[0]:
-            best = (float(z[i, k]), float(g2[i]), float(g4[k]))
-        span2 = (hi2 - lo2) / (grid_resolution - 1)
-        span4 = (hi4 - lo4) / (grid_resolution - 1)
-        lo2, hi2 = max(0.0, g2[i] - span2), min(p2_hi, g2[i] + span2)
-        lo4, hi4 = max(0.0, g4[k] - span4), min(p4_hi, g4[k] + span4)
-
-    z_best, p2b, p4b = best
-    if not np.isfinite(z_best):
+    # a p2 + b p4 = c
+    a = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0])
+    b = np.array([1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
+    c = np.array([0.0, 1.0 - y, y, y, 0.0, y, y / 3.0])
+    i, j = np.triu_indices(a.size, 1)
+    det = a[i] * b[j] - a[j] * b[i]
+    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
+    p2 = (c[i] * b[j] - c[j] * b[i]) / det
+    p4 = (a[i] * c[j] - a[j] * c[i]) / det
+    p2, p4 = np.clip(p2, 0.0, None), np.clip(p4, 0.0, None)
+    z = np.where(_z_feasible(p2, p4, y), (np.sqrt(p2) - np.sqrt(p4)) ** 2, -np.inf)
+    k = int(np.argmax(z))
+    if not np.isfinite(z[k]):
         raise DomainError(f"no feasible spectrum on the slice at x = {x}")
-    p = np.array([1.0 - y, p2b, y - p2b - p4b, p4b])
+    p = np.array([1.0 - y, p2[k], y - p2[k] - p4[k], p4[k]])
     return _spectrum(np.sort(np.clip(p, 0.0, None))[::-1])
 
 
@@ -348,35 +341,34 @@ def _g4_mutual_information(x: float) -> np.ndarray:
     return max(candidates, key=max_concurrence)
 
 
-def g_d_numeric(kind: str, d: int, x: float, grid_resolution: int = 200) -> float:
-    """Infimum of s22 over the spectra with correlation value x, from above.
+def g_d_numeric(kind: str, d: int, x: float) -> float:
+    """Infimum of s22 over the spectra with correlation value x.
 
     The slice solver of the kind returns a spectrum p on the slice
-    f(p) = x, and the value is s22_ef(p). Being attained by a feasible
-    point, it never lies below the infimum.
+    f(p) = x, and the value is s22_ef(p). Both solvers are exact, and being
+    attained by a feasible point, the value can only err high, by rounding.
 
-    For the distance measures the slice fixes p1, which leaves a
-    two-variable grid search with local refinement (``grid_resolution``
-    points per axis). For the mutual information the slice is 2 H(p) = x
-    and the solution is exact: the concurrence cap p1 - p3 - 2 sqrt(p2 p4)
-    is largest either at the geometric spectrum on the face p4 = 0 or on
-    the isotropic line (1 - 3t, t, t, t), and each of the two families
-    meets the slice once, found by bisection.
+    For the distance measures the slice fixes p1, and the concurrence cap
+    p1 - p3 - 2 sqrt(p2 p4) = 1 - 2y + (sqrt(p2) - sqrt(p4))^2 is convex in
+    (p2, p4), so it is largest at a vertex of the feasible polygon; the
+    solver takes the best vertex. It does not use optimal_slice_spectrum,
+    so it checks the closed form independently. For the mutual information
+    the slice is 2 H(p) = x, and the cap is largest either at the geometric
+    spectrum on the face p4 = 0 or on the isotropic line (1 - 3t, t, t, t);
+    each of the two families meets the slice once, found by bisection.
     """
     from .measures import s22_ef
 
     kind = as_kind(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
-    if grid_resolution < 100:
-        raise DomainError("grid_resolution must be >= 100")
     if x < -1e-12 or x > c_max(kind, 4) + 1e-9:
         raise DomainError(f"infeasible correlation level {x} for kind {kind!r}")
     x = min(max(x, 0.0), c_max(kind, 4))
     if kind == "mutual_information":
         p = _g4_mutual_information(x)
     else:
-        p = _g4_distance(kind, x, grid_resolution)
+        p = _g4_distance(kind, x)
     return float(s22_ef(p))
 
 

@@ -1,6 +1,6 @@
 """Reproducibility harness: curve emission, Monte-Carlo verification of the
 entanglement-correlation trade-off, tightness and classical-classical
-boundary experiments, and the grid-search oracle comparison.
+boundary experiments, and the slice-solver oracle comparison.
 
 Subcommands: curve | verify | tightness | ccbound | gd. All runs are
 deterministic functions of their configuration (seed and worker count
@@ -66,7 +66,8 @@ _DISTANCE_KINDS = ("bures", "hellinger")
 _MI_BOUND_GRID = 41
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
-# Sample workers use rng streams 1..workers; grid points use point index + 1.
+# Sample workers use rng streams 1..workers; tightness grid points use point
+# index + 1.
 
 
 @dataclass
@@ -340,18 +341,16 @@ def run_tightness(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_ccbound(cfg: RunConfig) -> None:
-    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 10
     xs = np.linspace(0.0, f_value("bures", np.full(4, 0.25)), cfg.grid)
     rows = []
     worst_c = 0.0
     worst_e = 0.0
-    for i, x in enumerate(xs):
+    for x in xs:
         x = float(x)
         zeta = float(zeta_ef("hellinger", x))
         p = spectrum_at_f("bures", x)  # Hellinger CC correlation equals f_db(p)
         rho = strictly_correlated_cc(p, 4, 4)
-        rng = worker_rng(cfg.seed, i + 1)
-        c_num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=restarts, rng=rng)
+        c_num = c_distance_numeric(rho, (4, 4), "hellinger")
         e_a = entanglement_of_formation(partial_trace(rho, (4, 4), keep=1))
         rows.append([x, zeta, c_num, c_num - x, e_a])
         worst_c = max(worst_c, abs(c_num - x))
@@ -382,7 +381,7 @@ def run_gd(cfg: RunConfig) -> None:
     summary = {"max_abs_diff": worst}
     _emit(cfg, ["x", "analytic", "numeric", "abs_diff"], rows, summary)
     if worst > cfg.tolerance:
-        raise VerificationError(f"grid oracle disagrees with the closed form by {worst:.3e}")
+        raise VerificationError(f"slice oracle disagrees with the closed form by {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------

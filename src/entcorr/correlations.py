@@ -3,13 +3,14 @@
 Mutual information is evaluated exactly. The Bures and Hellinger
 distance-to-product-states measures have closed forms on pure states and
 on strictly correlated classical-classical states, driven by the spectral
-functions f below. For arbitrary states, exact alternating ascents of the
-affinity over product states (a closed-form factor update for Hellinger
-and for Bures on pure targets, a monotone Hradil step for Bures on mixed
-targets) run from the marginals, from maximally mixed factors and from
-random full-rank factors. The best value is attained by a product state,
-so it is an upper bound on the infimum: it errs high. The objective is not
-jointly concave in the two factors, which is why random starts remain.
+functions f below. For arbitrary states the distance to the product
+states is solved exactly where the mathematics allows: for Hellinger on
+every target, from one SVD of the realigned sqrt(rho), and for Bures on
+pure targets, from the top Schmidt pair. Bures on mixed targets stays
+iterative: monotone ascents of the root fidelity from the marginals, from
+maximally mixed factors and from random full-rank factors. Their best
+value is attained by a product state, so it errs high. Every solver
+returns the product state it attains.
 """
 
 from __future__ import annotations
@@ -137,117 +138,55 @@ def c_on_pure(psi, split, kind) -> float:
 # Numeric infimum over product states
 # ---------------------------------------------------------------------------
 
-class _Affinity:
-    """tr-overlap objective whose maximization minimizes the distance.
+def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int):
+    """Exact Hellinger distance to the product states, with a product state
+    attaining it.
 
-    Bures: affinity = tr sqrt(sqrt(rho) sigma sqrt(rho)); Hellinger:
-    affinity = tr(sqrt(rho) sqrt(sigma)). Both give D = sqrt(2 - 2 aff).
-    For a pure rho = |psi><psi| the affinities reduce to quadratic forms
-    in psi, which the ascents exploit. ``prep`` maps a factor state to the
-    variable an ascent works on: its square root for Hellinger, the state
-    itself for Bures.
+    For sigma = sigma_A x sigma_B, sqrt(sigma) = X x Y with ||X||_F =
+    ||Y||_F = 1, and the affinity tr(sqrt(rho) (X x Y)) = vec(X^T)^T R vec(Y^T)
+    is bilinear in the realignment R[(i,k),(j,l)] = sqrt(rho)[(i,j),(k,l)],
+    so it is at most s1, the largest singular value of R. Since
+    sqrt(rho) >= 0, R maps vec(Y^T) to vec(tr_B[sqrt(rho) (1 x Y)]), which is
+    PSD for PSD Y, and R^dagger maps back through tr_A in the same way, so
+    R^dagger R keeps the PSD cone. Power iteration of R^dagger R from the
+    identity therefore stays PSD, and its limit, the projection of the
+    identity onto the top right-singular subspace, is a PSD Y^T attaining
+    s1; this holds for a degenerate s1 as well.
     """
-
-    def __init__(self, rho: np.ndarray, d_a: int, d_b: int, kind: str):
-        self.kind = kind
-        self.d_a, self.d_b = d_a, d_b
-        pur = np.trace(rho @ rho).real
-        self.pure = pur > 1.0 - 1e-12
-        if self.pure:
-            w, vmat = np.linalg.eigh(rho)
-            self.psi_mat = vmat[:, -1].reshape(d_a, d_b)
-        else:
-            self.sqrt_rho = matrix_sqrt_psd(rho)
-            self.sqrt_rho4 = self.sqrt_rho.reshape(d_a, d_b, d_a, d_b)
-
-    def prep(self, delta: np.ndarray) -> np.ndarray:
-        if self.kind == "hellinger":
-            return matrix_sqrt_psd(delta)
-        return delta
-
-    def value(self, prep_a: np.ndarray, prep_b: np.ndarray) -> float:
-        if self.kind == "hellinger":
-            if self.pure:
-                m = self.psi_mat
-                return float(np.vdot(m, prep_a @ m @ prep_b.T).real)
-            return float(np.einsum("ijkl,ki,lj->", self.sqrt_rho4, prep_a, prep_b).real)
-        m = self.psi_mat  # mixed Bures targets go through _bures_value_grad
-        overlap = np.vdot(m, prep_a @ m @ prep_b.T).real
-        return float(math.sqrt(max(0.0, overlap)))
+    r = matrix_sqrt_psd(rho).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    r = r.reshape(d_a * d_a, d_b * d_b)
+    _, s, vh = np.linalg.svd(r)
+    top = vh[s >= s[0] * (1.0 - 1e-12)]  # rounding splits a degenerate s1
+    yt = top.conj().T @ (top @ np.eye(d_b).ravel())
+    x = (r @ yt).reshape(d_a, d_a)
+    sigma_a, sigma_b = (_square_unit(m) for m in (x, yt.reshape(d_b, d_b).T))
+    return _distance(s[0]), sigma_a, sigma_b
 
 
-def _positive_part_unit(h: np.ndarray) -> np.ndarray | None:
-    """H_+ / ||H_+||_F, the maximizer of tr(H X) over PSD X with ||X||_F = 1."""
-    w, vmat = np.linalg.eigh((h + h.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    norm = math.sqrt(float((w * w).sum()))
-    if norm <= 0.0:
-        return None
-    return (vmat * (w / norm)) @ vmat.conj().T
+def _distance(affinity: float) -> float:
+    """sqrt(2 - 2 affinity): the Bures or Hellinger distance of an affinity."""
+    return float(math.sqrt(max(0.0, 2.0 - 2.0 * affinity)))
 
 
-def _polish_hellinger(obj: _Affinity, prep_a, prep_b, iters: int = 80):
-    """Exact alternating ascent: each factor update is a closed-form
-    maximization of the affinity, linear in the square root of one factor."""
-    xa, xb = prep_a, prep_b
-    val = obj.value(xa, xb)
-    for _ in range(iters):
-        if obj.pure:
-            m = obj.psi_mat
-            ha = m @ xb.T @ m.conj().T
-        else:
-            ha = np.einsum("ijkl,lj->ik", obj.sqrt_rho4, xb)
-        cand = _positive_part_unit(ha)
-        if cand is not None:
-            xa = cand
-        if obj.pure:
-            m = obj.psi_mat
-            hb = (m.conj().T @ xa @ m).T
-        else:
-            hb = np.einsum("ijkl,ki->jl", obj.sqrt_rho4, xa)
-        cand = _positive_part_unit(hb)
-        if cand is not None:
-            xb = cand
-        new = obj.value(xa, xb)
-        if new <= val + 1e-16:
-            return xa, xb, new
-        val = new
-    return xa, xb, val
+def _square_unit(m: np.ndarray) -> np.ndarray:
+    """The state with square root proportional to the Hermitian part of m."""
+    h = (m + m.conj().T) / 2.0
+    sigma = h @ h
+    return sigma / np.trace(sigma).real
 
 
-def _polish_bures_pure(obj: _Affinity, delta_a, delta_b, iters: int = 80):
-    """Exact alternating ascent for a pure target: each factor update picks
-    the top eigenprojector of a PSD matrix, the overlap being linear in
-    either factor alone."""
-    m = obj.psi_mat
-    da, db = delta_a, delta_b
-    val = obj.value(da, db)
-    for _ in range(iters):
-        w, vmat = np.linalg.eigh(m @ db.T @ m.conj().T)
-        top = vmat[:, -1]
-        da = np.outer(top, top.conj())
-        w, vmat = np.linalg.eigh((m.conj().T @ da @ m).T)
-        top = vmat[:, -1]
-        db = np.outer(top, top.conj())
-        new = obj.value(da, db)
-        if new <= val + 1e-16:
-            return da, db, new
-        val = new
-    return da, db, val
-
-
-def _bures_value_grad(obj: _Affinity, sigma: np.ndarray):
+def _bures_value_grad(sqrt_rho: np.ndarray, sigma: np.ndarray):
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) and twice its gradient
     in sigma, G = sqrt(rho) (sqrt(rho) sigma sqrt(rho))^(-1/2) sqrt(rho) (the
     inverse root taken on the support)."""
-    w, vmat = np.linalg.eigh(obj.sqrt_rho @ sigma @ obj.sqrt_rho)
+    w, vmat = np.linalg.eigh(sqrt_rho @ sigma @ sqrt_rho)
     root = np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
-    half = obj.sqrt_rho @ vmat
+    half = sqrt_rho @ vmat
     return float(root.sum()), (half * inv_root) @ half.conj().T
 
 
-def _polish_bures_mixed(obj: _Affinity, sigma_a, sigma_b, iters: int = 200):
+def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200):
     """Monotone alternating ascent for a mixed target.
 
     For fixed sigma_B the root fidelity is concave in sigma_A with gradient
@@ -256,8 +195,8 @@ def _polish_bures_mixed(obj: _Affinity, sigma_a, sigma_b, iters: int = 200):
     accepted only if the affinity rises and otherwise retried with eps halved;
     an accepted step doubles the factor's eps for the next sweep.
     """
-    d_a, d_b = obj.d_a, obj.d_b
-    val, grad = _bures_value_grad(obj, np.kron(sigma_a, sigma_b))
+    d_a, d_b = sigma_a.shape[0], sigma_b.shape[0]
+    val, grad = _bures_value_grad(sqrt_rho, np.kron(sigma_a, sigma_b))
     eps = [1.0, 1.0]
     for _ in range(iters):
         start = val
@@ -273,7 +212,7 @@ def _polish_bures_mixed(obj: _Affinity, sigma_a, sigma_b, iters: int = 200):
                 trial = step @ cur @ step.conj().T
                 trial = (trial + trial.conj().T) / (2.0 * np.trace(trial).real)
                 pair = (trial, sigma_b) if side == 0 else (sigma_a, trial)
-                new, new_grad = _bures_value_grad(obj, np.kron(*pair))
+                new, new_grad = _bures_value_grad(sqrt_rho, np.kron(*pair))
                 if new > val:
                     sigma_a, sigma_b = pair
                     val, grad = new, new_grad
@@ -287,14 +226,26 @@ def _polish_bures_mixed(obj: _Affinity, sigma_a, sigma_b, iters: int = 200):
 
 def _closest_product(rho: np.ndarray, d_a: int, d_b: int, kind: str, restarts: int,
                      rng: np.random.Generator):
-    """Smallest distance over ``restarts`` exact ascents, with the product
-    state (sigma_A, sigma_B) that attains it. Inputs are not validated.
+    """Distance from rho to the product states, with the product state
+    (sigma_A, sigma_B) that attains it. Inputs are not validated.
 
-    Restart 0 starts from the marginals of rho, restart 1 from maximally
-    mixed factors and the rest from full-rank random factors. Starts are
-    full rank because a Hradil step R sigma R^dagger keeps the rank.
+    Hellinger is exact on every target (one SVD, see _hellinger_closest).
+    Bures on a pure target |psi> is exact too: the root fidelity with
+    sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
+    attained by its top Schmidt pair. Bures on a mixed target keeps the
+    best of ``restarts`` ascents, from the marginals of rho, from maximally
+    mixed factors and from full-rank random factors drawn from ``rng``;
+    starts are full rank because a Hradil step R sigma R^dagger keeps the
+    rank. ``restarts`` and ``rng`` act on this case only.
     """
-    obj = _Affinity(rho, d_a, d_b, kind)
+    if kind == "hellinger":
+        return _hellinger_closest(rho, d_a, d_b)
+    if np.trace(rho @ rho).real > 1.0 - 1e-12:
+        psi = np.linalg.eigh(rho)[1][:, -1].reshape(d_a, d_b)
+        u, s, vh = np.linalg.svd(psi)
+        sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
+        return _distance(s[0]), sigma_a, sigma_b
+    sqrt_rho = matrix_sqrt_psd(rho)
     best = (-math.inf, None, None)
     for r in range(restarts):
         if r == 0:
@@ -304,19 +255,11 @@ def _closest_product(rho: np.ndarray, d_a: int, d_b: int, kind: str, restarts: i
             sigma_a, sigma_b = np.eye(d_a) / d_a, np.eye(d_b) / d_b
         else:
             sigma_a, sigma_b = random_density(d_a, d_a, rng), random_density(d_b, d_b, rng)
-        prep_a, prep_b = obj.prep(sigma_a), obj.prep(sigma_b)
-        if kind == "hellinger":
-            # the ascent works on sqrt(sigma) with unit Frobenius norm
-            root_a, root_b, aff = _polish_hellinger(obj, prep_a, prep_b)
-            sigma_a, sigma_b = root_a @ root_a, root_b @ root_b
-        elif obj.pure:
-            sigma_a, sigma_b, aff = _polish_bures_pure(obj, prep_a, prep_b)
-        else:
-            sigma_a, sigma_b, aff = _polish_bures_mixed(obj, prep_a, prep_b)
+        sigma_a, sigma_b, aff = _polish_bures_mixed(sqrt_rho, sigma_a, sigma_b)
         if aff > best[0]:
             best = (aff, sigma_a, sigma_b)
     aff, sigma_a, sigma_b = best
-    return float(math.sqrt(max(0.0, 2.0 - 2.0 * aff))), sigma_a, sigma_b
+    return _distance(aff), sigma_a, sigma_b
 
 
 def c_distance_numeric(
@@ -326,18 +269,19 @@ def c_distance_numeric(
     restarts: int = 10,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Upper bound on the distance from rho to the product-state set.
+    """Distance from rho to the product-state set, attained by a product state.
 
-    Each restart runs an exact alternating ascent of the affinity from its
-    own start: a closed-form factor update for Hellinger and for Bures on
-    pure targets, and a diluted Hradil step on the root fidelity for Bures
-    on mixed targets. The first restart starts from the marginals of rho,
+    Hellinger is exact on every target: sqrt(2 (1 - s1)), with s1 the
+    largest singular value of the realigned sqrt(rho). Bures is exact on
+    pure targets: sqrt(2 (1 - s1)), with s1 the top Schmidt coefficient.
+    Bures on mixed targets runs ``restarts`` monotone ascents of the root
+    fidelity (diluted Hradil steps), the first from the marginals of rho,
     the second from maximally mixed factors, the rest from full-rank random
-    factors drawn from ``rng``; the best distance over all restarts is
-    returned. The value is attained by a product state, so it errs high:
-    never below the true infimum. The objective is not jointly concave in
-    the two factors, so an ascent can stall at a local maximum; the random
-    starts are there to reach the basins that the two fixed starts miss.
+    factors drawn from ``rng``, and returns the best. That value is attained
+    by a product state, so it errs high: never below the true infimum; the
+    objective is not jointly concave in the two factors, and the random
+    starts reach basins that the two fixed starts miss. ``restarts`` and
+    ``rng`` act on Bures mixed targets only.
     """
     kind = as_kind(kind)
     if kind == "mutual_information":

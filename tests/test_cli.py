@@ -23,12 +23,14 @@ def run_to_text(tmp_path, name, argv):
 
 
 class TestDeterminism:
-    def test_mutual_information_curve_does_not_depend_on_seed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, rows",
+        [(["curve", "--kind", "mutual_information", "--grid", "5"], 5), (["ccbound"], 20)],
+        ids=["curve-mutual_information", "ccbound"],
+    )
+    def test_output_does_not_depend_on_seed(self, tmp_path, argv, rows):
         texts = [
-            run_to_text(
-                tmp_path, f"curve-{seed}.csv",
-                ["curve", "--kind", "mutual_information", "--grid", "5", "--seed", seed],
-            )
+            run_to_text(tmp_path, f"{argv[0]}-{seed}.csv", [*argv, "--seed", seed])
             for seed in ("0", "7")
         ]
         lines = [text.splitlines() for text in texts]
@@ -37,7 +39,7 @@ class TestDeterminism:
         assert [ln for ln in lines[0] if not ln.startswith("# seed=")] == [
             ln for ln in lines[1] if not ln.startswith("# seed=")
         ]
-        assert len(lines[0]) == 5 + 6  # 5 meta lines, the header and 5 rows
+        assert len(lines[0]) == 5 + 1 + rows  # meta lines, the header and the rows
 
     def test_verify_repeat_is_byte_identical(self, tmp_path):
         argv = ["verify", "--samples", "200"]

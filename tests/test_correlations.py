@@ -28,6 +28,7 @@ from entcorr.qcore import (
     random_spectrum,
     schmidt,
     strictly_correlated_cc,
+    validate_density_matrix,
     worker_rng,
 )
 
@@ -140,11 +141,15 @@ class TestCDistanceNumeric:
             for kind in ("bures", "hellinger"):
                 exact = c_on_pure(psi, (4, 2), kind)
                 num = c_distance_numeric(rho, (4, 2), kind, restarts=3, rng=worker_rng(5, i))
-                assert -1e-9 <= num - exact <= 1e-3
+                assert abs(num - exact) <= 1e-12
 
     def test_strictly_correlated_cc_matches_f_db(self):
-        for i in range(5):
-            p = random_spectrum(4, RNG)
+        # the five module-RNG spectra keep the stream of the other tests as
+        # it was; the 200 of the own stream include near-ties p1 ~ p2
+        own = worker_rng(11)
+        spectra = [random_spectrum(4, RNG) for _ in range(5)]
+        spectra += [random_spectrum(4, own) for _ in range(200)]
+        for i, p in enumerate(spectra):
             rho = strictly_correlated_cc(p, 4, 4)
             num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=4, rng=worker_rng(6, i))
             assert abs(num - f_db(p)) < 1e-12
@@ -167,16 +172,33 @@ class TestCDistanceNumeric:
 
     def test_witness_attains_the_value(self):
         # fixed rng streams, so the module RNG stream of the other tests is untouched
+        def rotated(p, rng):
+            u = np.kron(haar_unitary(4, rng), haar_unitary(4, rng))
+            return u @ strictly_correlated_cc(p, 4, 4) @ u.conj().T
+
         cc = strictly_correlated_cc(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4)
         psi = haar_pure(16, worker_rng(41))
         mixed = partial_trace(projector(psi), (8, 2), keep=1)
-        for rho, split, kind, distance in (
-            (cc, (4, 4), "hellinger", hellinger_distance),
-            (mixed, (4, 2), "bures", bures_distance),
-        ):
+        pure = projector(haar_pure(16, worker_rng(42)))
+        rows = [
+            (cc, (4, 4), "hellinger"),
+            (mixed, (4, 2), "bures"),
+            (pure, (4, 4), "hellinger"),
+            (pure, (4, 4), "bures"),
+            (rotated(np.full(4, 0.25), worker_rng(43)), (4, 4), "hellinger"),
+            (rotated(np.array([0.5, 0.5]), worker_rng(44)), (4, 4), "hellinger"),
+        ]
+        rows += [
+            (random_density(8, rank, worker_rng(45, rank)), (4, 2), "hellinger")
+            for rank in range(2, 9)
+        ]
+        distances = {"bures": bures_distance, "hellinger": hellinger_distance}
+        for rho, split, kind in rows:
             value, sigma_a, sigma_b = _closest_product(rho, *split, kind, 4, worker_rng(7))
             assert value == c_distance_numeric(rho, split, kind, restarts=4, rng=worker_rng(7))
-            assert abs(distance(rho, np.kron(sigma_a, sigma_b)) - value) <= 1e-9
+            validate_density_matrix(sigma_a)
+            validate_density_matrix(sigma_b)
+            assert abs(distances[kind](rho, np.kron(sigma_a, sigma_b)) - value) <= 1e-12
 
     def test_hellinger_value_holds_on_the_support(self):
         # rank-2 targets: rounding-level eigenvalues of rho must not enter
