@@ -13,6 +13,10 @@ best vertex of the feasible polygon solves it. For the mutual information,
 where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
+
+Per-kind facts are read from the kind's row of correlations.KINDS, the
+one place they live; a kind is added by adding a row there. A row with a
+closed form y(x) takes the vertex solver, the others the two families.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import as_kind, c_max, f_value
+from .correlations import c_max, f_value, kind_of
 from .qcore import DomainError, shannon_entropy, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -91,14 +95,12 @@ def u(y):
 # ---------------------------------------------------------------------------
 
 def _y_of_x(kind: str, x) -> np.ndarray:
-    xx = np.asarray(x, dtype=float)
-    if kind == "bures":
-        _check_domain(x, 0.0, 1.0, "x")
-        return np.clip(xx * xx - xx ** 4 / 4.0, 0.0, 0.75)
-    if kind == "hellinger":
-        _check_domain(x, 0.0, math.sqrt(1.5), "x")
-        return np.clip(xx * xx / 2.0, 0.0, 0.75)
-    raise DomainError(f"no closed-form curve for kind {kind!r}")
+    """y(x) of the kind's closed form on [0, c_max(kind, 4)]."""
+    row = kind_of(kind)
+    if row.y is None:
+        raise DomainError(f"no closed-form curve for kind {row.name!r}")
+    _check_domain(x, 0.0, c_max(kind, 4), "x")
+    return np.clip(row.y(np.asarray(x, dtype=float)), 0.0, 0.75)
 
 
 def xi_ef(kind: str, x):
@@ -107,28 +109,30 @@ def xi_ef(kind: str, x):
     xi(x) = u(x^2 - x^4/4) for the Bures measure on [0, 1] and
     u(x^2 / 2) for the Hellinger measure on [0, sqrt(3/2)].
     """
-    out = u(_y_of_x(as_kind(kind), x))
+    out = u(_y_of_x(kind, x))
     return _scalar_like(x, np.asarray(out, dtype=float))
 
 
 def zeta_ef(kind: str, x):
-    """Classical-classical counterpart of xi; Hellinger only.
+    """Classical-classical counterpart of xi: the xi of the row's zeta kind.
 
     For the Hellinger measure the CC bound coincides with the Bures xi.
     """
-    if as_kind(kind) != "hellinger":
-        raise DomainError(f"no classical-classical curve for kind {kind!r}")
-    return xi_ef("bures", x)
+    row = kind_of(kind)
+    if row.zeta is None:
+        raise DomainError(f"no classical-classical curve for kind {row.name!r}")
+    return xi_ef(row.zeta, x)
 
 
 def threshold(kind: str) -> float:
-    """Smallest correlation level beyond which the bound is zero (y = 2/3)."""
-    kind = as_kind(kind)
-    if kind == "hellinger":
-        return math.sqrt(4.0 / 3.0)
-    if kind == "bures":
-        return math.sqrt(2.0 - math.sqrt(4.0 / 3.0))
-    raise DomainError(f"no threshold for kind {kind!r}")
+    """Smallest correlation level beyond which the bound is zero (y = 2/3).
+
+    On pure states y = 1 - p1, so y = 2/3 at the uniform 3-spectrum.
+    """
+    row = kind_of(kind)
+    if row.y is None:
+        raise DomainError(f"no threshold for kind {row.name!r}")
+    return c_max(kind, 3)
 
 
 def renyi_threshold(d1: int, d2: int, alpha: float) -> float:
@@ -203,7 +207,6 @@ def spectrum_at_f(kind: str, x: float, base=None, tol: float = 1e-12) -> np.ndar
     ``base`` must have f_kind(base) >= x; by default the uniform 4-spectrum,
     whose beta family sweeps every correlation value down to zero.
     """
-    kind = as_kind(kind)
     if base is None:
         base = np.full(4, 0.25)
     base = validate_spectrum(base)
@@ -238,7 +241,7 @@ def spectrum_at_f(kind: str, x: float, base=None, tol: float = 1e-12) -> np.ndar
 
 def optimal_slice_spectrum(kind: str, x: float) -> np.ndarray:
     """Spectrum minimizing s22 on the slice f(p) = x (closed-form cases)."""
-    y = float(_y_of_x(as_kind(kind), x))
+    y = float(_y_of_x(kind, x))
     if y == 0.0:
         return np.array([1.0])
     if y <= 0.5:
@@ -348,7 +351,9 @@ def g_d_numeric(kind: str, d: int, x: float) -> float:
     f(p) = x, and the value is s22_ef(p). Both solvers are exact, and being
     attained by a feasible point, the value can only err high, by rounding.
 
-    For the distance measures the slice fixes p1, and the concurrence cap
+    A kind with a closed form y(x) in its row (the distance measures) takes
+    the vertex solver, the others the two families. For the distance
+    measures the slice fixes p1, and the concurrence cap
     p1 - p3 - 2 sqrt(p2 p4) = 1 - 2y + (sqrt(p2) - sqrt(p4))^2 is convex in
     (p2, p4), so it is largest at a vertex of the feasible polygon; the
     solver takes the best vertex. It does not use optimal_slice_spectrum,
@@ -359,16 +364,13 @@ def g_d_numeric(kind: str, d: int, x: float) -> float:
     """
     from .measures import s22_ef
 
-    kind = as_kind(kind)
+    row = kind_of(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
     if x < -1e-12 or x > c_max(kind, 4) + 1e-9:
-        raise DomainError(f"infeasible correlation level {x} for kind {kind!r}")
+        raise DomainError(f"infeasible correlation level {x} for kind {row.name!r}")
     x = min(max(x, 0.0), c_max(kind, 4))
-    if kind == "mutual_information":
-        p = _g4_mutual_information(x)
-    else:
-        p = _g4_distance(kind, x)
+    p = _g4_distance(kind, x) if row.y is not None else _g4_mutual_information(x)
     return float(s22_ef(p))
 
 
@@ -388,19 +390,20 @@ class BoundCurve:
 def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     """Sample the bound curve on an equally spaced grid including endpoints.
 
-    Distance kinds sample the closed form xi. The mutual-information kind
-    samples the classical-classical curve zeta(x) = xi(2x), where no closed
-    form exists: xi(x) = ln 2 - g_d_numeric(x), from the exact slice
-    solver. The value at each point is s22_ef of a spectrum on its slice,
-    so the curve never lies above the true one.
+    Kinds with a closed form y(x) in their row (the distance kinds) sample
+    xi. The others (the mutual information) sample the classical-classical
+    curve zeta(x) = xi(2x) on [0, c_max / 2], where no closed form exists:
+    xi(x) = ln 2 - g_d_numeric(x), from the exact slice solver. The value
+    at each point is s22_ef of a spectrum on its slice, so the curve never
+    lies above the true one.
     """
-    kind = as_kind(kind)
+    row = kind_of(kind)
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
-    if kind in ("bures", "hellinger"):
+    if row.y is not None:
         xs = np.linspace(0.0, c_max(kind, 4), grid)
-        return BoundCurve(kind, xs, np.asarray(xi_ef(kind, xs), dtype=float))
-    xs = np.linspace(0.0, math.log(4.0), grid)
+        return BoundCurve(row.name, xs, np.asarray(xi_ef(kind, xs), dtype=float))
+    xs = np.linspace(0.0, c_max(kind, 4) / 2.0, grid)
     vals = np.array([LN2 - g_d_numeric(kind, 4, 2.0 * x) for x in xs])
     vals = np.minimum.accumulate(vals)  # enforce the known monotone shape
-    return BoundCurve(kind, xs, vals)
+    return BoundCurve(row.name, xs, vals)

@@ -30,7 +30,7 @@ from .bounds import (
     xi_ef,
     zeta_ef,
 )
-from .correlations import _f, c_distance_numeric, c_max, c_on_pure, f_value
+from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
 from .measures import (
     _concurrence,
     _s22,
@@ -57,8 +57,9 @@ class VerificationError(RuntimeError):
     """A checked inequality or agreement failed (exit code 4)."""
 
 
-_CURVE_KINDS = ("bures", "hellinger", "mutual_information")
-_DISTANCE_KINDS = ("bures", "hellinger")
+# The field a kind's registry row must fill for the command to accept the
+# kind; every row serves the commands not listed.
+_NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
 
 # Levels at which `verify` tabulates the exact mutual-information slice
 # solution; each sample's bound also takes its own spectrum as a slice
@@ -102,14 +103,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("workers must be >= 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    allowed = {
-        "curve": _CURVE_KINDS,
-        "verify": _CURVE_KINDS,
-        "tightness": _DISTANCE_KINDS,
-        "ccbound": ("hellinger",),
-        "gd": _DISTANCE_KINDS,
-    }[cfg.command]
-    if cfg.kind not in allowed:
+    row = KINDS.get(cfg.kind)
+    need = _NEEDS.get(cfg.command)
+    if row is None or (need is not None and getattr(row, need) is None):
         raise ConfigError(f"kind {cfg.kind!r} not supported by {cfg.command!r}")
 
 
@@ -177,9 +173,10 @@ def run_curve(cfg: RunConfig) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _mi_bound_table() -> tuple[np.ndarray, np.ndarray]:
-    xs = np.linspace(0.0, c_max("mutual_information", 4), _MI_BOUND_GRID)
-    g = np.array([g_d_numeric("mutual_information", 4, float(x)) for x in xs])
+def _mi_bound_table(kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """g of a kind without a closed-form curve, tabulated on its x range."""
+    xs = np.linspace(0.0, c_max(kind, 4), _MI_BOUND_GRID)
+    g = np.array([g_d_numeric(kind, 4, float(x)) for x in xs])
     return xs, g
 
 
@@ -217,10 +214,10 @@ def _verify_chunk(args) -> list[tuple]:
         kept = lam > 1e-12
         lam = np.where(kept, lam, 0.0)
         lam = validate_spectrum_stack(lam / lam.sum(axis=-1, keepdims=True), kept)
-        x = np.minimum(_f(kind, lam), xmax)
+        x = np.minimum(KINDS[kind].f(lam), xmax)
         rho_a = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
         e = v(_concurrence(rho_a))
-        if kind == "mutual_information":
+        if KINDS[kind].y is None:
             q = np.zeros((len(lam), 4))
             q[:, : lam.shape[1]] = lam
             idx = np.minimum(np.searchsorted(mi_xs, x, side="left"), len(mi_xs) - 1)
@@ -233,8 +230,8 @@ def _verify_chunk(args) -> list[tuple]:
 
 
 def run_verify(cfg: RunConfig) -> None:
-    if cfg.kind == "mutual_information":
-        mi_xs, mi_g = _mi_bound_table()
+    if KINDS[cfg.kind].y is None:
+        mi_xs, mi_g = _mi_bound_table(cfg.kind)
         mi_xs, mi_g = tuple(map(float, mi_xs)), tuple(map(float, mi_g))
     else:
         mi_xs = mi_g = ()
@@ -341,16 +338,17 @@ def run_tightness(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_ccbound(cfg: RunConfig) -> None:
-    xs = np.linspace(0.0, f_value("bures", np.full(4, 0.25)), cfg.grid)
+    cc_kind = KINDS[cfg.kind].zeta  # the kind's CC correlation is f of cc_kind
+    xs = np.linspace(0.0, c_max(cc_kind, 4), cfg.grid)
     rows = []
     worst_c = 0.0
     worst_e = 0.0
     for x in xs:
         x = float(x)
-        zeta = float(zeta_ef("hellinger", x))
-        p = spectrum_at_f("bures", x)  # Hellinger CC correlation equals f_db(p)
+        zeta = float(zeta_ef(cfg.kind, x))
+        p = spectrum_at_f(cc_kind, x)
         rho = strictly_correlated_cc(p, 4, 4)
-        c_num = c_distance_numeric(rho, (4, 4), "hellinger")
+        c_num = c_distance_numeric(rho, (4, 4), cfg.kind)
         e_a = entanglement_of_formation(partial_trace(rho, (4, 4), keep=1))
         rows.append([x, zeta, c_num, c_num - x, e_a])
         worst_c = max(worst_c, abs(c_num - x))
@@ -404,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = {
-        "curve": dict(kind="hellinger", grid=201, tolerance=1e-9),
-        "verify": dict(kind="hellinger", samples=10000, tolerance=1e-9),
-        "tightness": dict(kind="hellinger", grid=20, tolerance=1e-3),
-        "ccbound": dict(kind="hellinger", grid=20, tolerance=1e-3),
-        "gd": dict(kind="hellinger", grid=20, tolerance=1e-3),
+        "curve": dict(grid=201, tolerance=1e-9),
+        "verify": dict(samples=10000, tolerance=1e-9),
+        "tightness": dict(grid=20, tolerance=1e-3),
+        "ccbound": dict(grid=20, tolerance=1e-3),
+        "gd": dict(grid=20, tolerance=1e-3),
     }
     for name in _RUNNERS:
         p = sub.add_parser(name)
@@ -416,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=10000)
         p.add_argument("--dim-b", dest="dim_b", type=int, default=16)
         p.add_argument("--grid", type=int, default=defaults[name].get("grid", 201))
-        p.add_argument("--kind", default=defaults[name]["kind"])
+        p.add_argument("--kind", default=RunConfig.kind)
         p.add_argument("--tolerance", type=float, default=defaults[name]["tolerance"])
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")

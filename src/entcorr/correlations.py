@@ -1,5 +1,9 @@
 """Correlation monotones between a system and its surroundings.
 
+Every fact that differs between the correlation kinds lives in one place,
+the KINDS registry at the end: one row per MonotoneKind (see Kind). Adding
+a kind means adding a row; no other code dispatches on kind names.
+
 Mutual information is evaluated exactly. The Bures and Hellinger
 distance-to-product-states measures have closed forms on pure states and
 on strictly correlated classical-classical states, driven by the spectral
@@ -16,6 +20,8 @@ returns the product state it attains.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,11 +47,39 @@ class MonotoneKind(str, Enum):
     HELLINGER = "hellinger"
 
 
-def as_kind(kind) -> str:
-    """The plain string value of a kind given as a member or as its value."""
+@dataclass(frozen=True)
+class Kind:
+    """One row of the KINDS registry: what differs between the kinds.
+
+    - ``f``: the correlation of a pure state as a function of its marginal
+      spectrum, on spectra padded with zeros and shaped (..., k); unchecked.
+    - ``f_tilde``: the correlation of the strictly correlated CC state with
+      a checked spectrum p; None where no closed form is known.
+    - ``y``: y(x) of the closed-form bound curve xi(x) = u(y(x)); None where
+      the curve is solved numerically.
+    - ``zeta``: the kind whose xi is this kind's classical-classical curve;
+      None where no kind's is.
+    - ``closest``: (rho, d_a, d_b, restarts, rng) -> (distance, sigma_A,
+      sigma_B) on unchecked inputs, the distance to the product states and
+      a product state attaining it; None for a kind that is no distance.
+
+    The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, and
+    the threshold of the closed-form curve is c_max(kind, 3).
+    """
+
+    name: str
+    f: Callable[[np.ndarray], np.ndarray]
+    f_tilde: Callable[[np.ndarray], np.ndarray] | None = None
+    y: Callable[[np.ndarray], np.ndarray] | None = None
+    zeta: str | None = None
+    closest: Callable | None = None
+
+
+def kind_of(kind) -> Kind:
+    """The registry row of a kind given as a member or as its value."""
     try:
-        return MonotoneKind(kind).value
-    except ValueError:
+        return KINDS[kind]
+    except (KeyError, TypeError):
         raise DomainError(f"unknown correlation kind {kind!r}") from None
 
 
@@ -53,38 +87,36 @@ def as_kind(kind) -> str:
 # Spectral functions
 # ---------------------------------------------------------------------------
 
-def _f(kind: str, p: np.ndarray) -> np.ndarray:
-    """f of the kind for spectra padded with zeros, shaped (..., k); unchecked."""
+def _f_bures(p: np.ndarray) -> np.ndarray:
     p1 = p.T[0].T  # a numpy scalar for one spectrum, as in measures._concurrence
-    if kind == "bures":
-        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.sqrt(p1))))
-    if kind == "hellinger":
-        return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - p1)))
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.sqrt(p1))))
+
+
+def _f_hellinger(p: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - p.T[0].T)))
+
+
+def _f_mutual_information(p: np.ndarray) -> np.ndarray:
     return -2.0 * (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def f_db(p) -> float:
     """sqrt(2 (1 - sqrt(p1))): Bures correlation of a pure state."""
-    return float(_f("bures", validate_spectrum(p)))
+    return float(_f_bures(validate_spectrum(p)))
 
 
 def f_dh(p) -> float:
     """sqrt(2 (1 - p1)): Hellinger correlation of a pure state."""
-    return float(_f("hellinger", validate_spectrum(p)))
+    return float(_f_hellinger(validate_spectrum(p)))
 
 
 def f_mi(p) -> float:
     """2 h(p): mutual information of a pure state with marginal spectrum p."""
-    return float(_f("mutual_information", validate_spectrum(p)))
+    return float(_f_mutual_information(validate_spectrum(p)))
 
 
 def f_value(kind, p) -> float:
-    kind = as_kind(kind)
-    if kind == "bures":
-        return f_db(p)
-    if kind == "hellinger":
-        return f_dh(p)
-    return f_mi(p)
+    return float(kind_of(kind).f(validate_spectrum(p)))
 
 
 def f_tilde(kind, p) -> float:
@@ -93,25 +125,18 @@ def f_tilde(kind, p) -> float:
     Known for the Hellinger measure (where it equals f_db) and the mutual
     information (the Shannon entropy); no closed form exists for Bures.
     """
-    kind = as_kind(kind)
-    if kind == "hellinger":
-        return f_db(p)
-    if kind == "mutual_information":
-        p = validate_spectrum(p)
-        return float(-(p * np.log(p)).sum())
-    raise DomainError("f_tilde is not available for the Bures measure")
+    row = kind_of(kind)
+    if row.f_tilde is None:
+        raise DomainError(f"f_tilde is not available for kind {row.name!r}")
+    return float(row.f_tilde(validate_spectrum(p)))
 
 
 def c_max(kind, d: int) -> float:
     """Largest correlation value on a d-dimensional system: f at uniform."""
-    kind = as_kind(kind)
+    row = kind_of(kind)
     if d < 1:
         raise DomainError("need d >= 1")
-    if kind == "bures":
-        return math.sqrt(2.0 * (1.0 - 1.0 / math.sqrt(d)))
-    if kind == "hellinger":
-        return math.sqrt(2.0 * (1.0 - 1.0 / d))
-    return 2.0 * math.log(d)
+    return float(row.f(np.full(d, 1.0 / d))) + 0.0  # no -0.0 at d = 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +163,10 @@ def c_on_pure(psi, split, kind) -> float:
 # Numeric infimum over product states
 # ---------------------------------------------------------------------------
 
-def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int):
+def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int, *_):
     """Exact Hellinger distance to the product states, with a product state
-    attaining it.
+    attaining it. Further arguments (the search budget of the Bures oracle)
+    are ignored.
 
     For sigma = sigma_A x sigma_B, sqrt(sigma) = X x Y with ||X||_F =
     ||Y||_F = 1, and the affinity tr(sqrt(rho) (X x Y)) = vec(X^T)^T R vec(Y^T)
@@ -152,6 +178,11 @@ def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int):
     identity therefore stays PSD, and its limit, the projection of the
     identity onto the top right-singular subspace, is a PSD Y^T attaining
     s1; this holds for a degenerate s1 as well.
+
+    Singular values within 1e-12 s1 count as one subspace. For a relative
+    gap below s1 between 1e-12 and 1e-8 the value stays exact, but the SVD
+    resolves the top vector only to about 1e-16 / gap, and the witness's
+    distance can miss the value by up to 1.55e-8.
     """
     r = matrix_sqrt_psd(rho).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
     r = r.reshape(d_a * d_a, d_b * d_b)
@@ -224,22 +255,19 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200
     return sigma_a, sigma_b, val
 
 
-def _closest_product(rho: np.ndarray, d_a: int, d_b: int, kind: str, restarts: int,
-                     rng: np.random.Generator):
-    """Distance from rho to the product states, with the product state
-    (sigma_A, sigma_B) that attains it. Inputs are not validated.
+def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
+                   rng: np.random.Generator):
+    """Bures distance from rho to the product states, with the product
+    state (sigma_A, sigma_B) that attains it. Inputs are not validated.
 
-    Hellinger is exact on every target (one SVD, see _hellinger_closest).
-    Bures on a pure target |psi> is exact too: the root fidelity with
+    On a pure target |psi> it is exact: the root fidelity with
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
-    attained by its top Schmidt pair. Bures on a mixed target keeps the
-    best of ``restarts`` ascents, from the marginals of rho, from maximally
-    mixed factors and from full-rank random factors drawn from ``rng``;
-    starts are full rank because a Hradil step R sigma R^dagger keeps the
-    rank. ``restarts`` and ``rng`` act on this case only.
+    attained by its top Schmidt pair. On a mixed target it keeps the best
+    of ``restarts`` ascents, from the marginals of rho, from maximally mixed
+    factors and from full-rank random factors drawn from ``rng``; starts
+    are full rank because a Hradil step R sigma R^dagger keeps the rank.
+    ``restarts`` and ``rng`` act on this case only.
     """
-    if kind == "hellinger":
-        return _hellinger_closest(rho, d_a, d_b)
     if np.trace(rho @ rho).real > 1.0 - 1e-12:
         psi = np.linalg.eigh(rho)[1][:, -1].reshape(d_a, d_b)
         u, s, vh = np.linalg.svd(psi)
@@ -283,9 +311,9 @@ def c_distance_numeric(
     starts reach basins that the two fixed starts miss. ``restarts`` and
     ``rng`` act on Bures mixed targets only.
     """
-    kind = as_kind(kind)
-    if kind == "mutual_information":
-        raise DomainError("the distance search applies to bures and hellinger only")
+    row = kind_of(kind)
+    if row.closest is None:
+        raise DomainError(f"kind {row.name!r} is not a distance to the product states")
     d_a, d_b = split_dims(split)
     rho = validate_density_matrix(rho)
     if rho.shape[0] != d_a * d_b:
@@ -296,4 +324,20 @@ def c_distance_numeric(
         raise DomainError("need restarts >= 1")
     if rng is None:
         rng = worker_rng(0, 0)
-    return _closest_product(rho, d_a, d_b, kind, restarts, rng)[0]
+    return row.closest(rho, d_a, d_b, restarts, rng)[0]
+
+
+# ---------------------------------------------------------------------------
+# Kind registry
+# ---------------------------------------------------------------------------
+
+KINDS = {
+    row.name: row
+    for row in (
+        Kind("mutual_information", _f_mutual_information,
+             f_tilde=lambda p: _f_mutual_information(p) / 2.0),
+        Kind("bures", _f_bures, y=lambda x: x * x - x ** 4 / 4.0, closest=_bures_closest),
+        Kind("hellinger", _f_hellinger, f_tilde=_f_bures, y=lambda x: x * x / 2.0,
+             zeta="bures", closest=_hellinger_closest),
+    )
+}

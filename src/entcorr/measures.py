@@ -133,8 +133,7 @@ def _noise_blocks(stream: np.random.Generator, iters: int):
         yield stream.standard_normal((min(_NOISE_BLOCK, iters - done), 2, 4, 4))
 
 
-def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, step: float,
-                  rng: np.random.Generator):
+def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rng: np.random.Generator):
     """Best E_f over ``restarts`` hill-climbing chains on the unitary orbit
     of diag(q), with the unitary U of the best chain. Inputs are not
     validated.
@@ -157,7 +156,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, step: float,
         for _ in _noise_blocks(rng, iters):
             pass
     cur = _ef_on_orbit(u, q)
-    s = np.full(restarts, float(step))
+    s = np.full(restarts, 0.1)  # each chain's first step
     rejected = np.zeros(restarts, dtype=int)
     for blocks in zip(*(_noise_blocks(stream, iters) for stream in streams)):
         g = np.stack(blocks, axis=1)
@@ -182,15 +181,14 @@ def max_ef_over_spectrum_numeric(
     restarts: int = 20,
     iters: int = 2000,
     rng: np.random.Generator | None = None,
-    step: float = 0.1,
 ) -> float:
     """Best E_f found over the unitary orbit of diag(p) by local search.
 
     Random-restart hill climbing on U(4): each chain starts at the identity
     (the first) or at a Haar-random unitary, proposes U <- exp(i step H) U
-    with H a random Hermitian direction, accepts if E_f improves, and halves
-    its step after 50 consecutive rejections. Independent of the closed-form
-    cap, it serves as its oracle. The value is attained by a state on the
+    with H a random Hermitian direction and a first step of 0.1, accepts if
+    E_f improves, and halves its step after 50 consecutive rejections.
+    Independent of the closed-form cap, it serves as its oracle. The value is attained by a state on the
     orbit, so it errs low: it never exceeds ln 2 - s22_ef(p).
     """
     q = pad_spectrum(p, 4)
@@ -200,7 +198,7 @@ def max_ef_over_spectrum_numeric(
         raise DomainError("need iters >= 0")
     if rng is None:
         rng = worker_rng(0, 0)
-    return _max_ef_orbit(q, restarts, iters, step, rng)[0]
+    return _max_ef_orbit(q, restarts, iters, rng)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -364,12 +364,6 @@ def random_spectrum(size: int, rng: np.random.Generator) -> np.ndarray:
 # State constructors
 # ---------------------------------------------------------------------------
 
-def basis_state(dim: int, k: int) -> np.ndarray:
-    e = np.zeros(dim, dtype=complex)
-    e[k] = 1.0
-    return e
-
-
 def projector(psi) -> np.ndarray:
     psi = validate_pure_state(psi)
     return np.outer(psi, psi.conj())

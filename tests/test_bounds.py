@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entcorr.bounds import (
     LN2,
     _g4_mutual_information,
+    _y_of_x,
     beta_deform,
     bound_curve,
     g_d_numeric,
@@ -151,6 +152,19 @@ class TestThresholds:
     def test_values(self):
         assert abs(threshold("hellinger") - math.sqrt(4.0 / 3.0)) < 1e-15
         assert abs(threshold("bures") - math.sqrt(2.0 - math.sqrt(4.0 / 3.0))) < 1e-15
+
+    def test_threshold_is_c_max_of_three_levels(self):
+        # y = 1 - p1 on pure states, so y = 2/3 at the uniform 3-spectrum.
+        # The rounded y(x) passes 2/3 between the double below t and t;
+        # xi itself already rounds to 0 a little below t, where
+        # 1 - (2 - 3y)^2 rounds to 1 inside v(2 - 3y).
+        for kind in ("bures", "hellinger"):
+            t = threshold(kind)
+            assert t == c_max(kind, 3)
+            assert float(_y_of_x(kind, t)) > 2.0 / 3.0
+            assert float(_y_of_x(kind, np.nextafter(t, 0.0))) <= 2.0 / 3.0
+            assert xi_ef(kind, t) == 0.0
+            assert xi_ef(kind, t * (1.0 - 1e-6)) > 0.0
 
     def test_below_capacity(self):
         for kind in ("bures", "hellinger"):

@@ -75,7 +75,7 @@ def per_sample_chunk(args) -> list[tuple]:
 
 @pytest.fixture(scope="module")
 def mi_table():
-    xs, g = cli._mi_bound_table()
+    xs, g = cli._mi_bound_table("mutual_information")
     return tuple(map(float, xs)), tuple(map(float, g))
 
 
@@ -136,10 +136,26 @@ class TestVerifyOutput:
         assert report["summary"]["min_slack"] == min(slacks)
 
 
+REJECTED = [
+    ("curve", "entropy"),
+    ("verify", "entropy"),
+    ("tightness", "mutual_information"),
+    ("tightness", "entropy"),
+    ("gd", "mutual_information"),
+    ("gd", "entropy"),
+    ("ccbound", "bures"),
+    ("ccbound", "mutual_information"),
+    ("ccbound", "entropy"),
+]
+
+
 class TestExitCodes:
-    def test_unsupported_kind_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, kind", REJECTED, ids=[f"{c}-{k}" for c, k in REJECTED]
+    )
+    def test_unsupported_kind_is_a_config_error(self, tmp_path, capsys, command, kind):
         out = tmp_path / "t.csv"
-        argv = ["tightness", "--kind", "mutual_information", "--out", str(out)]
+        argv = [command, "--kind", kind, "--out", str(out)]
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()

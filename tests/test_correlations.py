@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from entcorr.correlations import (
+    KINDS,
     MonotoneKind,
-    _closest_product,
     c_distance_numeric,
     c_max,
     c_on_pure,
@@ -97,9 +97,12 @@ class TestSpectralFunctions:
                     assert f_value(kind, p) < top
 
     def test_c_max_values(self):
-        assert abs(c_max("bures", 4) - 1.0) < 1e-15
-        assert abs(c_max("hellinger", 4) - math.sqrt(1.5)) < 1e-15
-        assert abs(c_max("mutual_information", 4) - 2 * math.log(4)) < 1e-15
+        # the CLI output bytes depend on these values
+        assert c_max("bures", 4) == 1.0
+        assert c_max("hellinger", 4) == math.sqrt(1.5)
+        assert c_max("mutual_information", 4) == 2 * math.log(4)
+        for kind in MonotoneKind:  # +0.0, not the -0.0 of -2 * 0 ln 1
+            assert math.copysign(1.0, c_max(kind, 1)) == 1.0 and c_max(kind, 1) == 0.0
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -194,7 +197,7 @@ class TestCDistanceNumeric:
         ]
         distances = {"bures": bures_distance, "hellinger": hellinger_distance}
         for rho, split, kind in rows:
-            value, sigma_a, sigma_b = _closest_product(rho, *split, kind, 4, worker_rng(7))
+            value, sigma_a, sigma_b = KINDS[kind].closest(rho, *split, 4, worker_rng(7))
             assert value == c_distance_numeric(rho, split, kind, restarts=4, rng=worker_rng(7))
             validate_density_matrix(sigma_a)
             validate_density_matrix(sigma_b)
@@ -210,9 +213,10 @@ class TestCDistanceNumeric:
             return (vmat * np.sqrt(w)) @ vmat.conj().T
 
         rng = worker_rng(61)
+        closest = KINDS["hellinger"].closest
         for i in range(20):
             rho = random_density(8, 2, rng)
-            value, sigma_a, sigma_b = _closest_product(rho, 4, 2, "hellinger", 4, worker_rng(62, i))
+            value, sigma_a, sigma_b = closest(rho, 4, 2, 4, worker_rng(62, i))
             aff = np.trace(root(rho, 2) @ np.kron(root(sigma_a, 4), root(sigma_b, 2))).real
             assert abs(math.sqrt(max(0.0, 2.0 - 2.0 * aff)) - value) <= 1e-12
 
@@ -227,6 +231,21 @@ class TestCDistanceNumeric:
     def test_rejects_large_dimension(self):
         with pytest.raises(DomainError):
             c_distance_numeric(np.eye(128) / 128, (8, 16), "hellinger")
+
+
+class TestRegistry:
+    def test_one_row_per_kind(self):
+        assert set(KINDS) == {kind.value for kind in MonotoneKind}
+        assert all(KINDS[name].name == name for name in KINDS)
+
+    def test_zeta_kind_gives_the_cc_correlation(self):
+        # ccbound places its CC states with the f of the zeta kind
+        rng = worker_rng(63)
+        for row in KINDS.values():
+            if row.zeta is not None:
+                for _ in range(20):
+                    p = random_spectrum(4, rng)
+                    assert f_tilde(row.name, p) == f_value(row.zeta, p)
 
 
 class TestEnumKinds:

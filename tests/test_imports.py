@@ -1,15 +1,23 @@
-"""The package depends on the standard library and numpy only.
+"""Source rules of the package, checked on its syntax trees.
 
-scipy is often installed next to numpy, but it is not a declared
-dependency, so nothing under src/entcorr may import it (or anything else).
+The package depends on the standard library and numpy only: scipy is often
+installed next to numpy, but it is not a declared dependency, so nothing
+under src/entcorr may import it (or anything else).
+
+Per-kind facts live in one place, the KINDS registry of
+entcorr.correlations: no other code compares with a kind name or passes
+one as an argument.
 """
 
 import ast
 import sys
 from pathlib import Path
 
+from entcorr.correlations import MonotoneKind
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "entcorr"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "entcorr"}
+KIND_NAMES = {kind.value for kind in MonotoneKind}
 
 
 def imported_roots(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
@@ -38,3 +46,55 @@ def test_package_imports_only_stdlib_numpy_and_itself():
         if root not in ALLOWED
     ]
     assert not bad, "imports outside stdlib/numpy: " + ", ".join(bad)
+
+
+def kind_name_sites(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
+    """(line, name) of every kind-name literal that code outside the KINDS
+    table compares with (alone or in a tuple, list or set) or passes as an
+    argument, positional or keyword."""
+    tree = ast.parse(source, filename=filename)
+    table = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "KINDS" for t in node.targets)
+        for sub in ast.walk(node)
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if id(node) in table:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call):
+            operands = [*node.args, *(kw.value for kw in node.keywords)]
+        else:
+            continue
+        for op in operands:
+            for lit in op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op]:
+                if isinstance(lit, ast.Constant) and lit.value in KIND_NAMES:
+                    sites.append((lit.lineno, lit.value))
+    return sorted(sites)
+
+
+def test_scanner_sees_every_kind_site():
+    source = (
+        'if kind == "bures" or kind in ("hellinger", "other"):\n'
+        '    f("mutual_information", x, kind="bures")\n'
+        'KINDS = {"bures": row("bures")}\n'
+        'default = "hellinger"\n'
+    )
+    assert kind_name_sites(source) == [
+        (1, "bures"), (1, "hellinger"), (2, "bures"), (2, "mutual_information"),
+    ]
+
+
+def test_kind_names_appear_only_in_the_registry():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    bad = [
+        f"{path.name}:{line}: {name!r}"
+        for path in files
+        for line, name in kind_name_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not bad, "kind names outside correlations.KINDS: " + ", ".join(bad)

@@ -267,7 +267,7 @@ class TestMaxEfNumeric:
         for i in range(5):
             p = random_spectrum(4, rng)
             q = pad_spectrum(p, 4)
-            value, u = _max_ef_orbit(q, 3, 200, 0.1, worker_rng(21, i))
+            value, u = _max_ef_orbit(q, 3, 200, worker_rng(21, i))
             assert value == max_ef_over_spectrum_numeric(
                 p, restarts=3, iters=200, rng=worker_rng(21, i)
             )
