@@ -33,13 +33,14 @@ from .bounds import (
 from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
 from .measures import (
     _concurrence,
+    _max_ef_orbit,
     _s22,
     entanglement_of_formation,
-    max_ef_over_spectrum_numeric,
     max_ef_state,
 )
 from .qcore import (
     DomainError,
+    pad_spectrum,
     partial_trace,
     purify,
     strictly_correlated_cc,
@@ -67,8 +68,9 @@ _NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
 _MI_BOUND_GRID = 41
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
-# Sample workers use rng streams 1..workers; tightness grid points use point
-# index + 1.
+# Sample workers use rng streams 1..workers. Each tightness grid point draws
+# its orbit-search restarts from stream point index + 1, also when all points
+# step as one stack.
 
 
 @dataclass
@@ -298,19 +300,22 @@ def run_verify(cfg: RunConfig) -> None:
 def run_tightness(cfg: RunConfig) -> None:
     restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 20
     iters = cfg.opt_iters if cfg.opt_iters is not None else 2000
-    xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
+    xs = [float(x) for x in np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)]
+    spectra = [optimal_slice_spectrum(cfg.kind, x) for x in xs]
+    e_nums, _ = _max_ef_orbit(
+        np.array([pad_spectrum(p, 4) for p in spectra]),
+        restarts,
+        iters,
+        [worker_rng(cfg.seed, i + 1) for i in range(len(xs))],
+    )
     rows = []
     worst_construct = 0.0
     worst_numeric = 0.0
-    for i, x in enumerate(xs):
-        x = float(x)
+    for x, p, e_num in zip(xs, spectra, e_nums.tolist()):
         bound = float(xi_ef(cfg.kind, x))
-        p = optimal_slice_spectrum(cfg.kind, x)
         state = max_ef_state(p)
         e_built = entanglement_of_formation(state)
         gap_built = bound - e_built
-        rng = worker_rng(cfg.seed, i + 1)
-        e_num = max_ef_over_spectrum_numeric(p, restarts=restarts, iters=iters, rng=rng)
         gap_num = bound - e_num
         psi = purify(state)
         c_pure = c_on_pure(psi, (4, psi.size // 4), cfg.kind)

@@ -2,9 +2,14 @@
 
 Entanglement of formation is computed exactly for two qubits through the
 concurrence; higher-dimensional internal systems are covered by the
-negativity only. The spectral cap s22 gives the largest entanglement of
-formation compatible with a given eigenvalue vector, together with an
-explicit state attaining it and an independent unitary-orbit search.
+negativity only. The concurrence has one kernel, which takes a state in
+eigenform U diag(q) U^dagger: Wootters' mu_i are the singular values of
+sqrt(q) U^T (Y x Y) U sqrt(q) (PRL 80, 2245, 1998). A density matrix
+reaches it through eigh, with eigenvalues below TOL_SUPPORT times the
+largest counted as zero, as in qcore.matrix_sqrt_psd. The spectral cap s22
+gives the largest entanglement of formation compatible with a given
+eigenvalue vector, together with an explicit state attaining it and an
+independent unitary-orbit search.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import numpy as np
 
 from . import bounds
 from .qcore import (
+    TOL_SUPPORT,
     DomainError,
     haar_unitary,
     pad_spectrum,
@@ -25,9 +31,9 @@ from .qcore import (
     worker_rng,
 )
 
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# Y x Y is real in the computational basis.
-_YY = np.kron(_PAULI_Y, _PAULI_Y).real
+# Y x Y is real in the computational basis and maps row i of a matrix to
+# row 3 - i with these signs.
+_YY_ROW_SIGN = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 
 _E = np.eye(4)
 _BELL_PLUS = (_E[0] + _E[3]) / math.sqrt(2.0)
@@ -39,12 +45,17 @@ _BELL_MINUS = (_E[0] - _E[3]) / math.sqrt(2.0)
 MAX_EF_BASIS = np.column_stack([_BELL_PLUS, _E[1], _BELL_MINUS, _E[2]]).astype(complex)
 
 
-def _concurrence(rho: np.ndarray) -> np.ndarray:
-    """Concurrence of a stack of 4x4 states, shaped (..., 4, 4); unchecked."""
-    flipped = _YY @ rho.conj() @ _YY
-    ev = np.linalg.eigvals(rho @ flipped)
-    mu = np.sqrt(np.clip(ev.real, 0.0, None))
-    mu[..., ::-1].sort(axis=-1)
+def _concurrence_eig(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Concurrence of the states U diag(q) U^dagger for stacks of unitaries
+    (..., 4, 4) and spectra (..., 4); unchecked.
+
+    The singular values of sqrt(q) U^T (Y x Y) U sqrt(q) are Wootters' mu
+    taken directly, so a rank-deficient state loses no accuracy to square
+    roots of rounding noise.
+    """
+    r = np.sqrt(q)
+    b = r[..., :, None] * (u.swapaxes(-1, -2) @ (_YY_ROW_SIGN * u[..., ::-1, :])) * r[..., None, :]
+    mu = np.linalg.svd(b, compute_uv=False)
     # The rows of the transpose are numpy scalars for a single state, which
     # keeps its arithmetic off the slower path of 0-d arrays.
     m = mu.T
@@ -52,12 +63,20 @@ def _concurrence(rho: np.ndarray) -> np.ndarray:
     return np.where(c > 0.0, c, 0.0)
 
 
+def _concurrence(rho: np.ndarray) -> np.ndarray:
+    """Concurrence of a stack of 4x4 states, shaped (..., 4, 4); unchecked."""
+    w, u = np.linalg.eigh(rho)
+    return _concurrence_eig(u, np.where(w > TOL_SUPPORT * w[..., -1:], w, 0.0))
+
+
 def concurrence(rho) -> float:
     """Two-qubit concurrence max{0, mu1 - mu2 - mu3 - mu4}.
 
-    The mu_i are the decreasing square roots of the eigenvalues of
-    rho (Y x Y) rho* (Y x Y), with the conjugate taken entrywise in the
-    computational basis.
+    With rho = U diag(q) U^dagger, the mu_i are the decreasing singular
+    values of sqrt(q) U^T (Y x Y) U sqrt(q), which are the square roots of
+    the eigenvalues of rho (Y x Y) rho* (Y x Y) (conjugate taken entrywise
+    in the computational basis). Eigenvalues of rho below TOL_SUPPORT times
+    the largest count as zero.
     """
     rho = validate_density_matrix(rho)
     if rho.shape != (4, 4):
@@ -116,49 +135,58 @@ def max_ef_state(p) -> np.ndarray:
     return rho
 
 
-# Steps of proposal noise drawn at a time from each chain's stream, so the
-# noise held in memory is O(restarts x block) rather than O(restarts x iters).
-_NOISE_BLOCK = 20
+# Chain-steps of proposal noise drawn at a time: a block holds
+# max(1, _NOISE_CHAIN_STEPS // chains) steps of every chain, so the noise held
+# in memory stays near this many chain-steps whatever the number of chains.
+_NOISE_CHAIN_STEPS = 400
 
 
 def _ef_on_orbit(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """E_f of the orbit points U diag(q) U^dagger for a stack of unitaries."""
-    # The orbit points are density matrices by construction; skip validation.
-    return bounds.v(_concurrence((u * q) @ u.conj().swapaxes(-1, -2)))
+    """E_f of the orbit points U diag(q) U^dagger for stacks of unitaries and spectra."""
+    return bounds.v(_concurrence_eig(u, q))
 
 
-def _noise_blocks(stream: np.random.Generator, iters: int):
-    """One chain's proposal noise, (re, im) pairs of 4x4 normals, in blocks."""
-    for done in range(0, iters, _NOISE_BLOCK):
-        yield stream.standard_normal((min(_NOISE_BLOCK, iters - done), 2, 4, 4))
+def _noise_blocks(stream: np.random.Generator, iters: int, steps: int):
+    """One chain's proposal noise, (re, im) pairs of 4x4 normals, ``steps`` at a time."""
+    for done in range(0, iters, steps):
+        yield stream.standard_normal((min(steps, iters - done), 2, 4, 4))
 
 
-def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rng: np.random.Generator):
+def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     """Best E_f over ``restarts`` hill-climbing chains on the unitary orbit
-    of diag(q), with the unitary U of the best chain. Inputs are not
-    validated.
+    of diag(q) for each spectrum of a stack q shaped (P, 4), with ``rngs``
+    one generator per spectrum. Returns the P values and the P unitaries U
+    of the best chains. Inputs are not validated.
 
-    All chains step together as one (restarts, 4, 4) stack. What a chain
-    draws does not depend on what it accepts, so each chain gets the
-    stretch of ``rng`` that running the restarts one after another would
-    give it: the stream is walked once, restart by restart, drawing the
-    Haar start, copying the generator and skipping the chain's ``iters``
-    noise draws; each copy then hands out its chain's noise block by block.
-    Values and the final state of ``rng`` are those of the sequential loop.
-    Acceptance compares E_f, not the concurrence: v rounds distinct
-    concurrences to equal values, so the two comparisons can disagree.
+    All P x restarts chains step together as one stack. What a chain draws
+    does not depend on what it accepts, so each chain gets the stretch of
+    its spectrum's generator that running the restarts one after another
+    would give it: each generator is walked once, restart by restart,
+    drawing the Haar start, copying the generator and skipping the chain's
+    ``iters`` noise draws; each copy then hands out its chain's noise block
+    by block. A block holds ``_NOISE_CHAIN_STEPS`` // chains steps of every
+    chain (at least 1), so the noise in memory does not grow with P. Values
+    and the final state of each generator are those of the sequential loop
+    on that spectrum alone. Acceptance compares E_f, not the concurrence:
+    v rounds distinct concurrences to equal values, so the two comparisons
+    can disagree.
     """
-    u = np.empty((restarts, 4, 4), dtype=complex)
+    points = len(q)
+    chains = points * restarts
+    u = np.empty((chains, 4, 4), dtype=complex)
     streams = []
-    for r in range(restarts):
-        u[r] = np.eye(4) if r == 0 else haar_unitary(4, rng)
-        streams.append(copy.deepcopy(rng))
-        for _ in _noise_blocks(rng, iters):
-            pass
+    for i, rng in enumerate(rngs):
+        for r in range(restarts):
+            u[i * restarts + r] = np.eye(4) if r == 0 else haar_unitary(4, rng)
+            streams.append(copy.deepcopy(rng))
+            for _ in _noise_blocks(rng, iters, _NOISE_CHAIN_STEPS):
+                pass
+    q = np.repeat(q, restarts, axis=0)
     cur = _ef_on_orbit(u, q)
-    s = np.full(restarts, 0.1)  # each chain's first step
-    rejected = np.zeros(restarts, dtype=int)
-    for blocks in zip(*(_noise_blocks(stream, iters) for stream in streams)):
+    s = np.full(chains, 0.1)  # each chain's first step
+    rejected = np.zeros(chains, dtype=int)
+    steps = max(1, _NOISE_CHAIN_STEPS // chains)
+    for blocks in zip(*(_noise_blocks(stream, iters, steps) for stream in streams)):
         g = np.stack(blocks, axis=1)
         g = g[:, :, 0] + 1j * g[:, :, 1]
         for h in (g + g.conj().swapaxes(-1, -2)) / 2.0:
@@ -172,8 +200,10 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rng: np.random.Gener
             halve = rejected >= 50
             s = np.where(halve, s * 0.5, s)
             rejected = np.where(halve, 0, rejected)
-    best = int(np.argmax(cur))
-    return float(cur[best]), u[best]
+    cur = cur.reshape(points, restarts)
+    best = np.argmax(cur, axis=1)
+    point = np.arange(points)
+    return cur[point, best], u.reshape(points, restarts, 4, 4)[point, best]
 
 
 def max_ef_over_spectrum_numeric(
@@ -188,8 +218,9 @@ def max_ef_over_spectrum_numeric(
     (the first) or at a Haar-random unitary, proposes U <- exp(i step H) U
     with H a random Hermitian direction and a first step of 0.1, accepts if
     E_f improves, and halves its step after 50 consecutive rejections.
-    Independent of the closed-form cap, it serves as its oracle. The value is attained by a state on the
-    orbit, so it errs low: it never exceeds ln 2 - s22_ef(p).
+    Independent of the closed-form cap, it serves as its oracle. The value
+    is E_f of a state on the orbit, evaluated to about 1e-15, so it errs low
+    up to rounding: it does not exceed ln 2 - s22_ef(p) by more than that.
     """
     q = pad_spectrum(p, 4)
     if restarts < 1:
@@ -198,7 +229,7 @@ def max_ef_over_spectrum_numeric(
         raise DomainError("need iters >= 0")
     if rng is None:
         rng = worker_rng(0, 0)
-    return _max_ef_orbit(q, restarts, iters, rng)[0]
+    return float(_max_ef_orbit(q[None], restarts, iters, [rng])[0][0])
 
 
 # ---------------------------------------------------------------------------

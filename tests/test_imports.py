@@ -7,6 +7,10 @@ under src/entcorr may import it (or anything else).
 Per-kind facts live in one place, the KINDS registry of
 entcorr.correlations: no other code compares with a kind name or passes
 one as an argument.
+
+The concurrence has one kernel, on singular values of a state in eigenform:
+no code calls the non-Hermitian eigensolvers numpy.linalg.eig or eigvals,
+so a second concurrence path on eigenvalues of rho rho~ does not return.
 """
 
 import ast
@@ -98,3 +102,42 @@ def test_kind_names_appear_only_in_the_registry():
         for line, name in kind_name_sites(path.read_text(encoding="utf-8"), str(path))
     ]
     assert not bad, "kind names outside correlations.KINDS: " + ", ".join(bad)
+
+
+NON_HERMITIAN = {"eig", "eigvals"}
+
+
+def non_hermitian_solver_sites(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
+    """(line, name) of every call of numpy.linalg.eig or eigvals through an
+    attribute, and of every import of them by name from numpy.linalg."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in NON_HERMITIAN
+        ):
+            sites.append((node.lineno, node.func.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            sites += [(node.lineno, a.name) for a in node.names if a.name in NON_HERMITIAN]
+    return sorted(sites)
+
+
+def test_scanner_sees_every_non_hermitian_solver_site():
+    source = (
+        "from numpy.linalg import eig as e, eigh\n"
+        "w = np.linalg.eigvals(m) + linalg.eigvalsh(m)\n"
+        "w, v = la.eig(m)\n"
+    )
+    assert non_hermitian_solver_sites(source) == [(1, "eig"), (2, "eigvals"), (3, "eig")]
+
+
+def test_no_non_hermitian_eigensolver():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    bad = [
+        f"{path.name}:{line}: {name}"
+        for path in files
+        for line, name in non_hermitian_solver_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not bad, "non-Hermitian eigensolvers: " + ", ".join(bad)

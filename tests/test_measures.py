@@ -5,7 +5,8 @@ import pytest
 
 from entcorr.bounds import LN2, beta_deform, v
 from entcorr.measures import (
-    _YY,
+    MAX_EF_BASIS,
+    _concurrence_eig,
     _max_ef_orbit,
     concurrence,
     entanglement_of_formation,
@@ -36,18 +37,20 @@ RNG = worker_rng(60221023)
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+YY = np.kron(PAULI_Y, PAULI_Y).real  # real in the computational basis
 
 
 def sequential_orbit_search(p, restarts, iters, rng, step=0.1):
     """Reference: the orbit search with one chain and one scalar concurrence
-    at a time, as it ran before the chains were stacked."""
+    at a time, as it ran before the chains were stacked. The concurrence is
+    Wootters' in eigenform, with the mu_i the singular values of
+    sqrt(q) U^T (Y x Y) U sqrt(q) and Y x Y applied as a matrix."""
     q = pad_spectrum(p, 4)
 
     def ef_of(unitary):
-        rho = (unitary * q) @ unitary.conj().T
-        ev = np.linalg.eigvals(rho @ (_YY @ rho.conj() @ _YY))
-        mu = np.sqrt(np.clip(ev.real, 0.0, None))
-        mu[::-1].sort()
+        b = np.sqrt(q)[:, None] * (unitary.T @ (YY @ unitary)) * np.sqrt(q)
+        mu = np.linalg.svd(b, compute_uv=False)
         return float(v(max(0.0, mu[0] - mu[1] - mu[2] - mu[3])))
 
     best = 0.0
@@ -102,6 +105,35 @@ class TestConcurrence:
     def test_wrong_dimension(self):
         with pytest.raises(DomainError):
             concurrence(np.eye(2) / 2)
+
+    def test_matches_wootters_definition_on_full_rank_states(self):
+        # mu_i as square roots of the eigenvalues of rho (Y x Y) rho* (Y x Y)
+        rng = worker_rng(22)
+        for _ in range(50):
+            rho = random_density(4, 4, rng)
+            ev = np.linalg.eigvals(rho @ (YY @ rho.conj() @ YY))
+            mu = np.sort(np.sqrt(np.clip(ev.real, 0.0, None)))[::-1]
+            expected = max(0.0, mu[0] - mu[1] - mu[2] - mu[3])
+            assert abs(concurrence(rho) - expected) < 1e-10
+
+    def test_rank_deficient_states_are_exact(self):
+        # local unitaries keep the concurrence, so each state sits at the cap;
+        # square roots of eigenvalue noise would miss it by about 1e-8
+        rng = worker_rng(23)
+        for rank in (1, 2, 3):
+            for _ in range(30):
+                p = random_spectrum(rank, rng)
+                local = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
+                rho = local @ max_ef_state(p) @ local.conj().T
+                assert abs(concurrence(rho) - max_concurrence(p)) <= 1e-14
+
+    def test_eigenform_kernel_at_the_cap_basis(self):
+        rng = worker_rng(24)
+        for rank in (1, 2, 3, 4):
+            for _ in range(30):
+                p = random_spectrum(rank, rng)
+                cap = max_concurrence(p)
+                assert abs(_concurrence_eig(MAX_EF_BASIS, pad_spectrum(p, 4)) - cap) <= 1e-15
 
 
 class TestEntanglementOfFormation:
@@ -267,12 +299,27 @@ class TestMaxEfNumeric:
         for i in range(5):
             p = random_spectrum(4, rng)
             q = pad_spectrum(p, 4)
-            value, u = _max_ef_orbit(q, 3, 200, worker_rng(21, i))
+            values, witnesses = _max_ef_orbit(q[None], 3, 200, [worker_rng(21, i)])
+            value, u = values[0], witnesses[0]
             assert value == max_ef_over_spectrum_numeric(
                 p, restarts=3, iters=200, rng=worker_rng(21, i)
             )
             assert abs(entanglement_of_formation((u * q) @ u.conj().T) - value) <= 1e-12
             assert value <= LN2 - s22_ef(p) + 1e-9
+
+    def test_stacked_points_match_single_calls(self):
+        # 12 chains take 33-step noise blocks, one chain 133-step ones, and
+        # 37 steps is a whole number of neither
+        rng = worker_rng(25)
+        q = np.array([pad_spectrum(random_spectrum(k, rng), 4) for k in (4, 2, 3, 1)])
+        rngs = [worker_rng(26, i) for i in range(len(q))]
+        values, witnesses = _max_ef_orbit(q, 3, 37, rngs)
+        for i, row in enumerate(q):
+            single_rng = worker_rng(26, i)
+            value, witness = _max_ef_orbit(row[None], 3, 37, [single_rng])
+            assert values[i] == value[0]
+            assert np.array_equal(witnesses[i], witness[0])
+            assert rngs[i].bit_generator.state == single_rng.bit_generator.state
 
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iters": -1}])
     def test_rejects_empty_budget(self, budget):
