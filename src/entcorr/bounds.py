@@ -14,6 +14,9 @@ where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
 
+xi_ef, g_d_numeric and bound_curve take arrays of levels; the slice
+solvers run them as one stack, each level with the bits it has alone.
+
 Per-kind facts are read from the kind's row of correlations.KINDS, the
 one place they live; a kind is added by adding a row there. A row with a
 closed form y(x) takes the vertex solver, the others the two families.
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import c_max, f_value, kind_of
-from .qcore import DomainError, shannon_entropy, validate_spectrum
+from .correlations import _f_mutual_information, c_max, f_value, kind_of
+from .qcore import DomainError, validate_spectrum
 
 LN2 = math.log(2.0)
 
@@ -106,10 +109,16 @@ def _y_of_x(kind: str, x) -> np.ndarray:
 def xi_ef(kind: str, x):
     """Upper bound on internal E_f at correlation level x (2x2 system).
 
-    xi(x) = u(x^2 - x^4/4) for the Bures measure on [0, 1] and
-    u(x^2 / 2) for the Hellinger measure on [0, sqrt(3/2)].
+    Takes a scalar or an array x, for every kind. xi(x) = u(x^2 - x^4/4)
+    for the Bures measure on [0, 1] and u(x^2 / 2) for the Hellinger
+    measure on [0, sqrt(3/2)]: u(y(x)) from the row. A row without y (the
+    mutual information) gives ln 2 - g_d_numeric(x) at each x: s22 of a
+    feasible slice point, so there xi can only err low, by rounding.
     """
-    out = u(_y_of_x(kind, x))
+    if kind_of(kind).y is None:
+        out = LN2 - np.asarray(g_d_numeric(kind, 4, x))
+    else:
+        out = u(_y_of_x(kind, x))
     return _scalar_like(x, np.asarray(out, dtype=float))
 
 
@@ -251,7 +260,7 @@ def optimal_slice_spectrum(kind: str, x: float) -> np.ndarray:
     return np.array([1.0 - y, 1.0 - y, 1.0 - y, 3.0 * y - 2.0])
 
 
-def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: float) -> np.ndarray:
+def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ordering constraints of the slice maximization, taken verbatim."""
     eps = 1e-12
     return (
@@ -262,94 +271,108 @@ def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: float) -> np.ndarray:
     )
 
 
-def _g4_distance(kind: str, x: float) -> np.ndarray:
-    """Best vertex of the (p2, p4) polygon of the slice p1 = 1 - y(x).
+def _g4_distance(kind: str, x: np.ndarray) -> np.ndarray:
+    """Best vertex of the (p2, p4) polygon of the slice p1 = 1 - y(x), per level.
 
     The objective (sqrt(p2) - sqrt(p4))^2 is convex, as -sqrt(p2 p4) is, so
     its maximum over the polygon lies at a vertex. Every vertex is a
     pairwise intersection of the seven lines below: the four ordering
     constraints of _z_feasible and the box p2 = 0, p2 = y, p4 = y / 3.
+    Takes a 1-D array of levels and returns their spectra padded with
+    zeros, shaped (n, 4).
     """
-    y = float(_y_of_x(kind, x))
-    if y <= 0.0:
-        return np.array([1.0])
+    y = _y_of_x(kind, x)[:, None]
     # a p2 + b p4 = c
     a = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0])
     b = np.array([1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
-    c = np.array([0.0, 1.0 - y, y, y, 0.0, y, y / 3.0])
+    zero = np.zeros_like(y)
+    c = np.concatenate([zero, 1.0 - y, y, y, zero, y, y / 3.0], axis=1)
     i, j = np.triu_indices(a.size, 1)
     det = a[i] * b[j] - a[j] * b[i]
     i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
-    p2 = (c[i] * b[j] - c[j] * b[i]) / det
-    p4 = (a[i] * c[j] - a[j] * c[i]) / det
+    p2 = (c[:, i] * b[j] - c[:, j] * b[i]) / det
+    p4 = (a[i] * c[:, j] - a[j] * c[:, i]) / det
     p2, p4 = np.clip(p2, 0.0, None), np.clip(p4, 0.0, None)
     z = np.where(_z_feasible(p2, p4, y), (np.sqrt(p2) - np.sqrt(p4)) ** 2, -np.inf)
-    k = int(np.argmax(z))
-    if not np.isfinite(z[k]):
-        raise DomainError(f"no feasible spectrum on the slice at x = {x}")
-    p = np.array([1.0 - y, p2[k], y - p2[k] - p4[k], p4[k]])
-    return _spectrum(np.sort(np.clip(p, 0.0, None))[::-1])
+    k = np.argmax(z, axis=1)[:, None]
+    if not np.isfinite(np.take_along_axis(z, k, 1)).all():
+        raise DomainError("no feasible spectrum on the slice")
+    p2, p4 = np.take_along_axis(p2, k, 1), np.take_along_axis(p4, k, 1)
+    p = np.concatenate([1.0 - y, p2, y - p2 - p4, p4], axis=1)
+    p = _spectrum(np.sort(np.clip(p, 0.0, None), axis=1)[:, ::-1])
+    return np.where(y > 0.0, p, [1.0, 0.0, 0.0, 0.0])
 
 
 def _spectrum(q: np.ndarray) -> np.ndarray:
-    """Descending nonnegative q without its zeros, normalized."""
-    q = q[q > 0.0]
-    return q / q.sum()
+    """Rows of descending nonnegative q, normalized; zeros stay as padding."""
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def _geometric(r: float) -> np.ndarray:
-    """(1, r, r^2) / norm: the p4 = 0 face at its Lagrange point."""
-    return _spectrum(np.array([1.0, r, r * r]))
+def _geometric(r: np.ndarray) -> np.ndarray:
+    """(1, r, r^2, 0) / norm: the p4 = 0 face at its Lagrange point."""
+    return _spectrum(np.stack([np.ones_like(r), r, r * r, np.zeros_like(r)], axis=-1))
 
 
-def _isotropic(t: float) -> np.ndarray:
+def _isotropic(t: np.ndarray) -> np.ndarray:
     """(1 - 3t, t, t, t): the spectra of the Werner states."""
-    return _spectrum(np.array([1.0 - 3.0 * t, t, t, t]))
+    return _spectrum(np.stack([1.0 - 3.0 * t, t, t, t], axis=-1))
 
 
-def _on_entropy_level(family, top: float, h: float) -> np.ndarray:
-    """Member of family on [0, top] with Shannon entropy h, by bisection.
+def _on_entropy_level(family, top: float, x: np.ndarray) -> np.ndarray:
+    """Members of family on [0, top] with Shannon entropy H = x / 2, by bisection.
 
     The entropy of each family rises with its parameter (the partial sums
-    of the spectrum fall), so the level is crossed exactly once.
+    of the spectrum fall), so each level is crossed exactly once. Every
+    level halves its own interval until no double lies strictly inside,
+    then keeps the end closer to its level (lo on a tie). Doubling is
+    exact, so comparing 2 H with x compares H with x / 2 bit for bit.
+    Takes a 1-D array of levels and returns spectra shaped (n, 4).
     """
-    lo, hi = 0.0, top
+    lo, hi = np.zeros_like(x), np.full_like(x, top)
+    live = np.arange(x.size)
     for _ in range(1100):  # two adjacent doubles are reached within 1076 halvings
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (mid > lo[live]) & (mid < hi[live])
+        live, mid = live[inside], mid[inside]
+        if live.size == 0:
             break
-        if shannon_entropy(family(mid)) < h:
-            lo = mid
-        else:
-            hi = mid
-    return min((family(lo), family(hi)), key=lambda p: abs(shannon_entropy(p) - h))
+        below = _f_mutual_information(family(mid)) < x[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+    p_lo, p_hi = family(lo), family(hi)
+    closer = np.abs(_f_mutual_information(p_hi) - x) < np.abs(_f_mutual_information(p_lo) - x)
+    return np.where(closer[:, None], p_hi, p_lo)
 
 
-def _g4_mutual_information(x: float) -> np.ndarray:
-    """Spectrum with the largest concurrence cap on the slice 2 H(p) = x.
+def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
+    """Spectra with the largest concurrence cap on the slices 2 H(p) = x.
 
     On the face p4 = 0 the cap p1 - p3 is linear and {H >= h} is convex,
     so its maximum on H = h is the Lagrange point ln p1 - ln p2 =
     ln p2 - ln p3: the geometric spectrum, which exists for h <= ln 3.
     The other candidate is the isotropic line (1 - 3t, t, t, t). The better
-    of the two is the optimum of the slice; the test suite checks this
-    against a dense (p2, p4) grid, on both sides of the switch near x = 2.055.
+    of the two is the optimum of the slice, the isotropic one on a tie; the
+    test suite checks this against a dense (p2, p4) grid, on both sides of
+    the switch near x = 2.055. Takes a 1-D array of levels and returns
+    their spectra padded with zeros, shaped (n, 4).
     """
-    from .measures import max_concurrence
+    from .measures import _max_concurrence
 
-    h = x / 2.0
-    candidates = [_on_entropy_level(_isotropic, 0.25, h)]
-    if h <= math.log(3.0):
-        candidates.append(_on_entropy_level(_geometric, 1.0, h))
-    return max(candidates, key=max_concurrence)
+    best = _on_entropy_level(_isotropic, 0.25, x)
+    face = x <= 2.0 * math.log(3.0)
+    geometric = _on_entropy_level(_geometric, 1.0, x[face])
+    better = _max_concurrence(geometric) > _max_concurrence(best[face])
+    best[face] = np.where(better[:, None], geometric, best[face])
+    return best
 
 
-def g_d_numeric(kind: str, d: int, x: float) -> float:
+def g_d_numeric(kind: str, d: int, x):
     """Infimum of s22 over the spectra with correlation value x.
 
-    The slice solver of the kind returns a spectrum p on the slice
-    f(p) = x, and the value is s22_ef(p). Both solvers are exact, and being
-    attained by a feasible point, the value can only err high, by rounding.
+    Takes a scalar or an array x, as xi_ef does. The slice solver of the
+    kind returns a spectrum p on the slice f(p) = x, and the value is
+    s22_ef(p). Both solvers are exact, and being attained by a feasible
+    point, the value can only err high, by rounding.
 
     A kind with a closed form y(x) in its row (the distance measures) takes
     the vertex solver, the others the two families. For the distance
@@ -362,16 +385,19 @@ def g_d_numeric(kind: str, d: int, x: float) -> float:
     spectrum on the face p4 = 0 or on the isotropic line (1 - 3t, t, t, t);
     each of the two families meets the slice once, found by bisection.
     """
-    from .measures import s22_ef
+    from .measures import _s22
 
     row = kind_of(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
-    if x < -1e-12 or x > c_max(kind, 4) + 1e-9:
-        raise DomainError(f"infeasible correlation level {x} for kind {row.name!r}")
-    x = min(max(x, 0.0), c_max(kind, 4))
-    p = _g4_distance(kind, x) if row.y is not None else _g4_mutual_information(x)
-    return float(s22_ef(p))
+    xmax = c_max(kind, 4)
+    levels = np.asarray(x, dtype=float)
+    bad = (levels < -1e-12) | (levels > xmax + 1e-9)
+    if bad.any():
+        raise DomainError(f"infeasible correlation level {levels[bad][0]} for kind {row.name!r}")
+    flat = np.clip(levels, 0.0, xmax).ravel()
+    p = _g4_distance(kind, flat) if row.y is not None else _g4_mutual_information(flat)
+    return _scalar_like(x, _s22(p).reshape(levels.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +416,13 @@ class BoundCurve:
 def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     """Sample the bound curve on an equally spaced grid including endpoints.
 
-    Kinds with a closed form y(x) in their row (the distance kinds) sample
-    xi. The others (the mutual information) sample the classical-classical
-    curve zeta(x) = xi(2x) on [0, c_max / 2], where no closed form exists:
-    xi(x) = ln 2 - g_d_numeric(x), from the exact slice solver. The value
-    at each point is s22_ef of a spectrum on its slice, so the curve never
-    lies above the true one.
+    Every point is one call of xi_ef on the whole grid. Kinds with a
+    closed form y(x) in their row (the distance kinds) sample xi. The
+    others (the mutual information) sample the classical-classical curve
+    zeta(x) = xi(2x) on [0, c_max / 2], where no closed form exists:
+    xi(x) = ln 2 - g_d_numeric(x), from the exact slice solver at each
+    point's own level. The value at each point is s22_ef of a spectrum on
+    its slice, so the curve never lies above the true one.
     """
     row = kind_of(kind)
     if grid < 2:
@@ -404,6 +431,5 @@ def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
         xs = np.linspace(0.0, c_max(kind, 4), grid)
         return BoundCurve(row.name, xs, np.asarray(xi_ef(kind, xs), dtype=float))
     xs = np.linspace(0.0, c_max(kind, 4) / 2.0, grid)
-    vals = np.array([LN2 - g_d_numeric(kind, 4, 2.0 * x) for x in xs])
-    vals = np.minimum.accumulate(vals)  # enforce the known monotone shape
+    vals = np.minimum.accumulate(xi_ef(kind, 2.0 * xs))  # enforce the known monotone shape
     return BoundCurve(row.name, xs, vals)

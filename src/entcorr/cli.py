@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -31,13 +32,7 @@ from .bounds import (
     zeta_ef,
 )
 from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
-from .measures import (
-    _concurrence,
-    _max_ef_orbit,
-    _s22,
-    entanglement_of_formation,
-    max_ef_state,
-)
+from .measures import _concurrence, _max_ef_orbit, entanglement_of_formation, max_ef_state
 from .qcore import (
     DomainError,
     pad_spectrum,
@@ -62,10 +57,6 @@ class VerificationError(RuntimeError):
 # kind; every row serves the commands not listed.
 _NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
 
-# Levels at which `verify` tabulates the exact mutual-information slice
-# solution; each sample's bound also takes its own spectrum as a slice
-# point, so correctness does not depend on this resolution.
-_MI_BOUND_GRID = 41
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
 # Sample workers use rng streams 1..workers. Each tightness grid point draws
@@ -175,13 +166,6 @@ def run_curve(cfg: RunConfig) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _mi_bound_table(kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """g of a kind without a closed-form curve, tabulated on its x range."""
-    xs = np.linspace(0.0, c_max(kind, 4), _MI_BOUND_GRID)
-    g = np.array([g_d_numeric(kind, 4, float(x)) for x in xs])
-    return xs, g
-
-
 def _verify_chunk(args) -> list[tuple]:
     """Records (x, e, bound, slack, spectrum) of ``count`` Haar samples.
 
@@ -193,16 +177,18 @@ def _verify_chunk(args) -> list[tuple]:
     step with the same rounding, so the records equal those of the
     one-sample loop bit for bit.
 
+    The bound is xi_ef at each sample's own x, one call per block, for
+    every kind: for the mutual information, the exact slice solution at x.
+
     Memory: ``rows`` is ``_VERIFY_BLOCK_ENTRIES`` over the entries of one
     sample's 4 x max(dim_b, 4) matrices, at least 1, so a block's arrays hold
     about that many complex entries, or one sample's when dim_b is larger,
     whatever dim_b and ``count`` are. Only the returned records grow with
     ``count``.
     """
-    kind, dim_b, count, seed, stream, mi_xs, mi_g = args
+    kind, dim_b, count, seed, stream = args
     rng = worker_rng(seed, stream)
     xmax = c_max(kind, 4)
-    mi_xs, mi_g = np.asarray(mi_xs), np.asarray(mi_g)
     rows = max(1, _VERIFY_BLOCK_ENTRIES // (4 * max(dim_b, 4)))
     out = []
     for done in range(0, count, rows):
@@ -219,37 +205,27 @@ def _verify_chunk(args) -> list[tuple]:
         x = np.minimum(KINDS[kind].f(lam), xmax)
         rho_a = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
         e = v(_concurrence(rho_a))
-        if KINDS[kind].y is None:
-            q = np.zeros((len(lam), 4))
-            q[:, : lam.shape[1]] = lam
-            idx = np.minimum(np.searchsorted(mi_xs, x, side="left"), len(mi_xs) - 1)
-            bound = LN2 - np.minimum(mi_g[idx], _s22(q))
-        else:
-            bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
+        bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
         spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), kept.sum(axis=-1).tolist()))
         out.extend(zip(x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist(), spectra))
     return out
 
 
 def run_verify(cfg: RunConfig) -> None:
-    if KINDS[cfg.kind].y is None:
-        mi_xs, mi_g = _mi_bound_table(cfg.kind)
-        mi_xs, mi_g = tuple(map(float, mi_xs)), tuple(map(float, mi_g))
-    else:
-        mi_xs = mi_g = ()
     counts = [
         cfg.samples // cfg.workers + (1 if w < cfg.samples % cfg.workers else 0)
         for w in range(cfg.workers)
     ]
     jobs = [
-        (cfg.kind, cfg.dim_b, counts[w], cfg.seed, w + 1, mi_xs, mi_g)
+        (cfg.kind, cfg.dim_b, counts[w], cfg.seed, w + 1)
         for w in range(cfg.workers)
         if counts[w] > 0
     ]
     if cfg.workers == 1:
         chunks = [_verify_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # Jobs and streams follow cfg.workers; the pool never outnumbers the cores.
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(_verify_chunk, jobs))  # index-ordered merge
 
     records = [item for chunk in chunks for item in chunk]
@@ -311,8 +287,8 @@ def run_tightness(cfg: RunConfig) -> None:
     rows = []
     worst_construct = 0.0
     worst_numeric = 0.0
-    for x, p, e_num in zip(xs, spectra, e_nums.tolist()):
-        bound = float(xi_ef(cfg.kind, x))
+    bounds = xi_ef(cfg.kind, np.array(xs)).tolist()
+    for x, p, e_num, bound in zip(xs, spectra, e_nums.tolist(), bounds):
         state = max_ef_state(p)
         e_built = entanglement_of_formation(state)
         gap_built = bound - e_built
@@ -348,9 +324,7 @@ def run_ccbound(cfg: RunConfig) -> None:
     rows = []
     worst_c = 0.0
     worst_e = 0.0
-    for x in xs:
-        x = float(x)
-        zeta = float(zeta_ef(cfg.kind, x))
+    for x, zeta in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist()):
         p = spectrum_at_f(cc_kind, x)
         rho = strictly_correlated_cc(p, 4, 4)
         c_num = c_distance_numeric(rho, (4, 4), cfg.kind)
@@ -372,15 +346,11 @@ def run_ccbound(cfg: RunConfig) -> None:
 
 def run_gd(cfg: RunConfig) -> None:
     xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
-    rows = []
-    worst = 0.0
-    for x in xs:
-        x = float(x)
-        analytic = float(xi_ef(cfg.kind, x))
-        numeric = LN2 - g_d_numeric(cfg.kind, 4, x)
-        diff = abs(numeric - analytic)
-        rows.append([x, analytic, numeric, diff])
-        worst = max(worst, diff)
+    analytic = xi_ef(cfg.kind, xs)
+    numeric = LN2 - g_d_numeric(cfg.kind, 4, xs)
+    diff = np.abs(numeric - analytic)
+    rows = [list(row) for row in zip(*(a.tolist() for a in (xs, analytic, numeric, diff)))]
+    worst = float(diff.max())
     summary = {"max_abs_diff": worst}
     _emit(cfg, ["x", "analytic", "numeric", "abs_diff"], rows, summary)
     if worst > cfg.tolerance:

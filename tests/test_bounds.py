@@ -291,16 +291,71 @@ class TestG4:
             assert ref - g <= 1e-8  # the reference is a close feasible point
 
     def test_mutual_information_witness(self):
-        for x in np.linspace(0.0, c_max("mutual_information", 4), 41):
-            p = _g4_mutual_information(float(x))
+        xs = np.linspace(0.0, c_max("mutual_information", 4), 41)
+        witnesses = _g4_mutual_information(xs)
+        assert witnesses.shape == (41, 4)
+        for x, q in zip(xs, witnesses):
+            p = q[q > 0.0]
+            assert np.all(q[p.size:] == 0.0)  # zeros only as padding after the support
             assert np.all(p > 0.0) and np.all(np.diff(p) <= 0.0)
             assert abs(p.sum() - 1.0) <= 1e-14
             assert abs(f_value("mutual_information", p) - x) <= 1e-12
             assert g_d_numeric("mutual_information", 4, float(x)) == s22_ef(p)
 
+    def test_mutual_information_switches_family(self):
+        # the geometric spectrum (p4 = 0) wins below x = 2.055, the
+        # isotropic line (p4 = p2) above
+        below, above = _g4_mutual_information(np.array([2.03, 2.08]))
+        assert below[3] == 0.0 and below[2] > 0.0
+        assert above[3] > 0.0 and above[3] == above[1]
+
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DomainError):
             g_d_numeric("hellinger", 9, 0.1)
+
+
+def stack_levels(kind):
+    """Levels for the stacked solvers: both ends, a grid, random levels and,
+    for the mutual information, the family switch near x = 2.055 and the
+    end of the geometric family at x = 2 ln 3."""
+    xmax = c_max(kind, 4)
+    levels = [0.0, xmax, *np.linspace(0.0, xmax, 31)[1:-1], *worker_rng(41).uniform(0, xmax, 40)]
+    if kind == "mutual_information":
+        end = 2.0 * math.log(3.0)
+        levels += [2.03, 2.05, 2.054, 2.055, 2.056, 2.06, 2.08]
+        levels += [end, np.nextafter(end, 0.0), np.nextafter(end, 3.0), end + 1e-9, end + 1e-3]
+    return np.array(levels)
+
+
+class TestStackedSolvers:
+    # every level of a stack gets the bits it gets alone
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_g_d_numeric(self, kind):
+        xs = stack_levels(kind)
+        single = np.array([g_d_numeric(kind, 4, float(x)) for x in xs])
+        assert all(type(g_d_numeric(kind, 4, float(x))) is float for x in xs[:2])
+        assert np.array_equal(g_d_numeric(kind, 4, xs), single)
+        assert np.array_equal(g_d_numeric(kind, 4, xs[::-1]), single[::-1])
+        even = xs.size // 2 * 2
+        grid = g_d_numeric(kind, 4, xs[:even].reshape(-1, 2))
+        assert np.array_equal(grid, single[:even].reshape(-1, 2))
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_xi_ef(self, kind):
+        xs = stack_levels(kind)
+        single = np.array([xi_ef(kind, float(x)) for x in xs])
+        assert np.array_equal(xi_ef(kind, xs), single)
+        # every kind's xi is ln 2 - g within rounding; exactly so without a closed form
+        gap = np.abs(single - (LN2 - g_d_numeric(kind, 4, xs)))
+        assert gap.max() <= (0.0 if kind == "mutual_information" else 1e-3)
+
+    def test_rejects_a_level_outside_the_range(self):
+        for kind in MonotoneKind:
+            xs = np.array([0.1, c_max(kind, 4) + 1e-6])
+            with pytest.raises(DomainError):
+                g_d_numeric(kind, 4, xs)
+            with pytest.raises(DomainError):
+                xi_ef(kind, -xs)
 
 
 class TestBoundCurve:
@@ -351,7 +406,6 @@ class TestEnumKinds:
 
     def test_unsupported_kinds_still_raise(self):
         calls = (
-            lambda: xi_ef(MonotoneKind.MUTUAL_INFORMATION, 0.5),
             lambda: zeta_ef(MonotoneKind.BURES, 0.5),
             lambda: threshold(MonotoneKind.MUTUAL_INFORMATION),
             lambda: xi_ef("entropy", 0.5),

@@ -3,16 +3,17 @@
 import csv
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from entcorr import cli
-from entcorr.bounds import LN2, xi_ef
+from entcorr.bounds import xi_ef
 from entcorr.cli import main
 from entcorr.correlations import c_max, f_value
-from entcorr.measures import entanglement_of_formation, s22_ef
+from entcorr.measures import entanglement_of_formation
 from entcorr.qcore import worker_rng
 
 
@@ -51,7 +52,7 @@ class TestDeterminism:
 
 def per_sample_chunk(args) -> list[tuple]:
     """`verify`'s chunk as a loop over single samples: the reference."""
-    kind, dim_b, count, seed, stream, mi_xs, mi_g = args
+    kind, dim_b, count, seed, stream = args
     rng = worker_rng(seed, stream)
     xmax = c_max(kind, 4)
     out = []
@@ -64,19 +65,9 @@ def per_sample_chunk(args) -> list[tuple]:
         x = min(f_value(kind, lam), xmax)
         rho_a = m @ m.conj().T
         e = entanglement_of_formation(rho_a)
-        if kind == "mutual_information":
-            idx = min(int(np.searchsorted(mi_xs, x, side="left")), len(mi_xs) - 1)
-            bound = LN2 - min(mi_g[idx], s22_ef(lam))
-        else:
-            bound = float(xi_ef(kind, x))
+        bound = float(xi_ef(kind, x))
         out.append((x, e, bound, bound - e, tuple(float(t) for t in lam)))
     return out
-
-
-@pytest.fixture(scope="module")
-def mi_table():
-    xs, g = cli._mi_bound_table("mutual_information")
-    return tuple(map(float, xs)), tuple(map(float, g))
 
 
 def verify_json(tmp_path, name, argv):
@@ -86,9 +77,8 @@ def verify_json(tmp_path, name, argv):
 class TestVerifyChunk:
     @pytest.mark.parametrize("kind", ["hellinger", "bures", "mutual_information"])
     @pytest.mark.parametrize("dim_b", [1, 2, 3, 16])
-    def test_matches_per_sample_reference(self, kind, dim_b, mi_table, monkeypatch):
-        table = mi_table if kind == "mutual_information" else ((), ())
-        args = (kind, dim_b, 300, 5, 1, *table)
+    def test_matches_per_sample_reference(self, kind, dim_b, monkeypatch):
+        args = (kind, dim_b, 300, 5, 1)
         expected = per_sample_chunk(args)
         # 300 samples fill no whole block at dim_b <= 4 and one at dim_b = 16;
         # with the smaller budget the blocks hold 7 samples, 42 full blocks and 6.
@@ -98,10 +88,16 @@ class TestVerifyChunk:
             assert got == expected
             assert all(type(t) is float for rec in got for t in (*rec[:4], *rec[4]))
 
+    def test_mutual_information_bound_is_the_curve_at_each_x(self):
+        records = cli._verify_chunk(("mutual_information", 16, 300, 5, 1))
+        xs = np.array([rec[0] for rec in records])
+        assert [rec[2] for rec in records] == xi_ef("mutual_information", xs).tolist()
+        assert not any(rec[3] < -1e-9 for rec in records)
+
     def test_memory_is_bounded_at_a_large_dim_b(self):
         tracemalloc.start()
         try:
-            cli._verify_chunk(("hellinger", 4096, 300, 0, 1, (), ()))
+            cli._verify_chunk(("hellinger", 4096, 300, 0, 1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -134,6 +130,39 @@ class TestVerifyOutput:
         assert report["summary"]["samples"] == n
         assert report["summary"]["violations"] == sum(s < -1e-9 for s in slacks)
         assert report["summary"]["min_slack"] == min(slacks)
+
+    @pytest.mark.parametrize("cores, pool", [(3, 3), (None, 1)])
+    def test_pool_is_capped_at_the_processor_count(self, tmp_path, monkeypatch, cores, pool):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs the jobs in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        report = verify_json(tmp_path, "w64.json", ["--samples", "64", "--workers", "64"])
+        assert sizes == [pool]
+        assert report["config"]["workers"] == 64
+        # 64 jobs of one sample each, sample i from stream i + 1
+        records = report["records"]
+        assert [rec["idx"] for rec in records] == list(range(64))
+        for i in (0, 63):
+            x, e, bound, slack, lam = cli._verify_chunk(("hellinger", 16, 1, 0, i + 1))[0]
+            assert (records[i]["x"], records[i]["bound"], records[i]["spectrum"]) == (
+                x, bound, list(lam)
+            )
 
 
 REJECTED = [
