@@ -17,6 +17,9 @@ the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 xi_ef, g_d_numeric and bound_curve take arrays of levels; the slice
 solvers run them as one stack, each level with the bits it has alone.
 
+The kernels v and u and the spectral cap s22 live here, so measures
+imports this module and not the reverse.
+
 Per-kind facts are read from the kind's row of correlations.KINDS, the
 one place they live; a kind is added by adding a row there. A row with a
 closed form y(x) takes the vertex solver, the others the two families.
@@ -53,6 +56,20 @@ def _scalar_like(y, arr: np.ndarray):
 # w, v, u
 # ---------------------------------------------------------------------------
 
+def _branch_terms(yy: np.ndarray):
+    """-a ln a at the two branch points a = (1 +- s) / 2, s = sqrt(1 - y^2),
+    as (plus, minus), for y already in [0, 1].
+
+    The small point is taken as b = y^2 / (2 (1 + s)) and the large one as
+    1 - b, with its logarithm log1p(-b), so neither cancels for small y.
+    """
+    s = np.sqrt(np.clip(1.0 - yy * yy, 0.0, None))
+    b = yy * yy / (2.0 * (1.0 + s))
+    plus = -(1.0 - b) * np.log1p(-b)
+    minus = -np.where(b > 0.0, b * np.log(np.where(b > 0.0, b, 1.0)), 0.0)
+    return plus, minus
+
+
 def w_pm(y, sign: int):
     """One branch of the concurrence-to-entropy kernel.
 
@@ -61,21 +78,14 @@ def w_pm(y, sign: int):
     """
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    yy = _check_domain(y, 0.0, 1.0, "y")
-    s = np.sqrt(np.clip(1.0 - yy * yy, 0.0, None))
-    a = (1.0 + sign * s) / 2.0
-    out = -np.where(a > 0.0, a * np.log(np.where(a > 0.0, a, 1.0)), 0.0)
-    return _scalar_like(y, out)
+    plus, minus = _branch_terms(_check_domain(y, 0.0, 1.0, "y"))
+    return _scalar_like(y, plus if sign == +1 else minus)
 
 
 def v(y):
     """v(y) = w_+(y) + w_-(y): entanglement of formation at concurrence y."""
-    yy = _check_domain(y, 0.0, 1.0, "y")
-    s = np.sqrt(np.clip(1.0 - yy * yy, 0.0, None))
-    a = (1.0 + s) / 2.0
-    b = 1.0 - a
-    out = -a * np.log(a) - np.where(b > 0.0, b * np.log(np.where(b > 0.0, b, 1.0)), 0.0)
-    return _scalar_like(y, out)
+    plus, minus = _branch_terms(_check_domain(y, 0.0, 1.0, "y"))
+    return _scalar_like(y, plus + minus)
 
 
 def u(y):
@@ -91,6 +101,17 @@ def u(y):
     vals = np.asarray(v(args), dtype=float)
     out = np.where(first | second, vals, 0.0)
     return _scalar_like(y, out)
+
+
+def _max_concurrence(q: np.ndarray) -> np.ndarray:
+    """Spectral concurrence cap of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
+    q1, q2, q3, q4 = q.T  # numpy scalars for one spectrum: 0-d arrays are slower
+    return np.maximum(0.0, q1 - q3 - 2.0 * np.sqrt(q2 * q4)).T
+
+
+def _s22(q: np.ndarray) -> np.ndarray:
+    """s22 of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
+    return LN2 - v(_max_concurrence(q))
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +346,12 @@ def _on_entropy_level(family, top: float, x: np.ndarray) -> np.ndarray:
     of the spectrum fall), so each level is crossed exactly once. Every
     level halves its own interval until no double lies strictly inside,
     then keeps the end closer to its level (lo on a tie). Doubling is
-    exact, so comparing 2 H with x compares H with x / 2 bit for bit.
-    Takes a 1-D array of levels and returns spectra shaped (n, 4).
+    exact, so comparing 2 H with x compares H with x / 2 bit for bit. A
+    level 0 is never bisected: it keeps parameter 0, the point mass. Takes
+    a 1-D array of levels and returns spectra shaped (n, 4).
     """
     lo, hi = np.zeros_like(x), np.full_like(x, top)
-    live = np.arange(x.size)
+    live = np.flatnonzero(x > 0.0)
     for _ in range(1100):  # two adjacent doubles are reached within 1076 halvings
         mid = 0.5 * (lo[live] + hi[live])
         inside = (mid > lo[live]) & (mid < hi[live])
@@ -356,8 +378,6 @@ def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
     the switch near x = 2.055. Takes a 1-D array of levels and returns
     their spectra padded with zeros, shaped (n, 4).
     """
-    from .measures import _max_concurrence
-
     best = _on_entropy_level(_isotropic, 0.25, x)
     face = x <= 2.0 * math.log(3.0)
     geometric = _on_entropy_level(_geometric, 1.0, x[face])
@@ -385,14 +405,12 @@ def g_d_numeric(kind: str, d: int, x):
     spectrum on the face p4 = 0 or on the isotropic line (1 - 3t, t, t, t);
     each of the two families meets the slice once, found by bisection.
     """
-    from .measures import _s22
-
     row = kind_of(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
     xmax = c_max(kind, 4)
     levels = np.asarray(x, dtype=float)
-    bad = (levels < -1e-12) | (levels > xmax + 1e-9)
+    bad = (levels < -_DOMAIN_SLACK) | (levels > xmax + _DOMAIN_SLACK)
     if bad.any():
         raise DomainError(f"infeasible correlation level {levels[bad][0]} for kind {row.name!r}")
     flat = np.clip(levels, 0.0, xmax).ravel()

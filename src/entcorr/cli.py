@@ -60,8 +60,8 @@ _NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
 # Sample workers use rng streams 1..workers. Each tightness grid point draws
-# its orbit-search restarts from stream point index + 1, also when all points
-# step as one stack.
+# the Haar starts of its orbit ascents from stream point index + 1, also when
+# all points climb as one stack; the ascents themselves draw nothing.
 
 
 @dataclass
@@ -274,8 +274,8 @@ def run_verify(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_tightness(cfg: RunConfig) -> None:
-    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 20
-    iters = cfg.opt_iters if cfg.opt_iters is not None else 2000
+    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 8
+    iters = cfg.opt_iters if cfg.opt_iters is not None else 300
     xs = [float(x) for x in np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)]
     spectra = [optimal_slice_spectrum(cfg.kind, x) for x in xs]
     e_nums, _ = _max_ef_orbit(

@@ -7,19 +7,21 @@ eigenform U diag(q) U^dagger: Wootters' mu_i are the singular values of
 sqrt(q) U^T (Y x Y) U sqrt(q) (PRL 80, 2245, 1998). A density matrix
 reaches it through eigh, with eigenvalues below TOL_SUPPORT times the
 largest counted as zero, as in qcore.matrix_sqrt_psd. The spectral cap s22
-gives the largest entanglement of formation compatible with a given
-eigenvalue vector, together with an explicit state attaining it and an
-independent unitary-orbit search.
+(kept in bounds, next to v) gives the largest entanglement of formation
+compatible with a given eigenvalue vector. An explicit state attains it,
+and an independent, deterministic oracle checks it: a quasi-Newton ascent
+of mu1 - mu2 - mu3 - mu4 over the unitary orbit of the spectrum, with an
+analytic gradient, which errs low and returns its unitary as a witness.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
 
 from . import bounds
+from .bounds import _max_concurrence, _s22
 from .qcore import (
     TOL_SUPPORT,
     DomainError,
@@ -45,6 +47,12 @@ _BELL_MINUS = (_E[0] - _E[3]) / math.sqrt(2.0)
 MAX_EF_BASIS = np.column_stack([_BELL_PLUS, _E[1], _BELL_MINUS, _E[2]]).astype(complex)
 
 
+def _wootters_matrix(u: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sqrt(q) U^T (Y x Y) U sqrt(q) for stacks of unitaries and spectra."""
+    r = np.sqrt(q)
+    return r[..., :, None] * (u.swapaxes(-1, -2) @ (_YY_ROW_SIGN * u[..., ::-1, :])) * r[..., None, :]
+
+
 def _concurrence_eig(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Concurrence of the states U diag(q) U^dagger for stacks of unitaries
     (..., 4, 4) and spectra (..., 4); unchecked.
@@ -53,9 +61,7 @@ def _concurrence_eig(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     taken directly, so a rank-deficient state loses no accuracy to square
     roots of rounding noise.
     """
-    r = np.sqrt(q)
-    b = r[..., :, None] * (u.swapaxes(-1, -2) @ (_YY_ROW_SIGN * u[..., ::-1, :])) * r[..., None, :]
-    mu = np.linalg.svd(b, compute_uv=False)
+    mu = np.linalg.svd(_wootters_matrix(u, q), compute_uv=False)
     # The rows of the transpose are numpy scalars for a single state, which
     # keeps its arithmetic off the slower path of 0-d arrays.
     m = mu.T
@@ -104,17 +110,6 @@ def negativity(rho, split) -> float:
 # Spectrum-level machinery
 # ---------------------------------------------------------------------------
 
-def _max_concurrence(q: np.ndarray) -> np.ndarray:
-    """Spectral concurrence cap of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
-    q1, q2, q3, q4 = q.T  # numpy scalars for one spectrum, as in _concurrence
-    return np.maximum(0.0, q1 - q3 - 2.0 * np.sqrt(q2 * q4)).T
-
-
-def _s22(q: np.ndarray) -> np.ndarray:
-    """s22 of 4-spectra padded with zeros, shaped (..., 4); unchecked."""
-    return bounds.LN2 - bounds.v(_max_concurrence(q))
-
-
 def max_concurrence(p) -> float:
     """Largest concurrence over all two-qubit states with spectrum p."""
     return float(_max_concurrence(pad_spectrum(p, 4)))
@@ -135,92 +130,159 @@ def max_ef_state(p) -> np.ndarray:
     return rho
 
 
-# Chain-steps of proposal noise drawn at a time: a block holds
-# max(1, _NOISE_CHAIN_STEPS // chains) steps of every chain, so the noise held
-# in memory stays near this many chain-steps whatever the number of chains.
-_NOISE_CHAIN_STEPS = 400
+# Signs of the Wootters mu_i in the ascent objective mu1 - mu2 - mu3 - mu4.
+_MU_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+_IU = np.triu_indices(4, 1)
+_DIAG = np.arange(4)
+
+# Quasi-Newton ascent: Armijo constant, halvings per line search, largest
+# step norm, curvature needed for an update, and the stopping gradient.
+_ARMIJO = 1e-4
+_HALVINGS = 40
+_MAX_STEP = 1.0
+_CURVATURE = 1e-14
+_GRAD_TOL = 1e-10
 
 
-def _ef_on_orbit(u: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """E_f of the orbit points U diag(q) U^dagger for stacks of unitaries and spectra."""
-    return bounds.v(_concurrence_eig(u, q))
+def _coords(g: np.ndarray) -> np.ndarray:
+    """Coordinates (..., 16) of Hermitian matrices (..., 4, 4) in the
+    orthonormal basis E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2
+    (a < b) of the inner product Re tr(G H)."""
+    off = math.sqrt(2.0) * g[..., _IU[0], _IU[1]]
+    return np.concatenate([g[..., _DIAG, _DIAG].real, off.real, off.imag], axis=-1)
 
 
-def _noise_blocks(stream: np.random.Generator, iters: int, steps: int):
-    """One chain's proposal noise, (re, im) pairs of 4x4 normals, ``steps`` at a time."""
-    for done in range(0, iters, steps):
-        yield stream.standard_normal((min(steps, iters - done), 2, 4, 4))
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    """Hermitian matrices (..., 4, 4) with coordinates h (..., 16); inverse of _coords."""
+    out = np.zeros(h.shape[:-1] + (4, 4), dtype=complex)
+    out[..., _DIAG, _DIAG] = h[..., :4]
+    off = (h[..., 4:10] + 1j * h[..., 10:]) / math.sqrt(2.0)
+    out[..., _IU[0], _IU[1]] = off
+    out[..., _IU[1], _IU[0]] = off.conj()
+    return out
+
+
+def _rotate(u: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(iH) U for stacks of unitaries and generator coordinates h."""
+    w, vmat = np.linalg.eigh(_hermitian(h))
+    return (vmat * np.exp(1j * w)[..., None, :]) @ vmat.conj().swapaxes(-1, -2) @ u
+
+
+def _orbit_objective(u: np.ndarray, q: np.ndarray):
+    """F(U) = mu1 - mu2 - mu3 - mu4, unclipped, and its gradient coordinates
+    for the step U <- exp(iH) U, for stacks of unitaries and spectra.
+
+    The mu_k are the singular values of B = sqrt(q) U^T M U sqrt(q), M =
+    Y x Y (_wootters_matrix). For a simple mu_k with singular vectors
+    a_k and v_k, d mu_k = Re(a_k^dagger dB v_k); with w = U sqrt(q) conj(a_k)
+    and x = U sqrt(q) v_k this is Re tr(dH K_k), K_k = i (w (Mx)^T + x (Mw)^T).
+    The gradient is the Hermitian part of the signed sum of the K_k.
+    """
+    a, mu, vh = np.linalg.svd(_wootters_matrix(u, q))
+    m = mu.T
+    f = (m[0] - m[1] - m[2] - m[3]).T
+    r = np.sqrt(q)[..., :, None]
+    w = u @ (r * a.conj())
+    x = u @ (r * vh.conj().swapaxes(-1, -2))
+    k = 1j * ((w * _MU_SIGN) @ (_YY_ROW_SIGN * x[..., ::-1, :]).swapaxes(-1, -2)
+              + (x * _MU_SIGN) @ (_YY_ROW_SIGN * w[..., ::-1, :]).swapaxes(-1, -2))
+    return f, _coords((k + k.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
-    """Best E_f over ``restarts`` hill-climbing chains on the unitary orbit
+    """Best E_f over ``restarts`` quasi-Newton ascents on the unitary orbit
     of diag(q) for each spectrum of a stack q shaped (P, 4), with ``rngs``
     one generator per spectrum. Returns the P values and the P unitaries U
     of the best chains. Inputs are not validated.
 
-    All P x restarts chains step together as one stack. What a chain draws
-    does not depend on what it accepts, so each chain gets the stretch of
-    its spectrum's generator that running the restarts one after another
-    would give it: each generator is walked once, restart by restart,
-    drawing the Haar start, copying the generator and skipping the chain's
-    ``iters`` noise draws; each copy then hands out its chain's noise block
-    by block. A block holds ``_NOISE_CHAIN_STEPS`` // chains steps of every
-    chain (at least 1), so the noise in memory does not grow with P. Values
-    and the final state of each generator are those of the sequential loop
-    on that spectrum alone. Acceptance compares E_f, not the concurrence:
-    v rounds distinct concurrences to equal values, so the two comparisons
-    can disagree.
+    Each chain climbs the unclipped F(U) = mu1 - mu2 - mu3 - mu4 of
+    _orbit_objective by BFGS in the 16 coordinates of the generator H of
+    U <- exp(iH) U. A step is the quasi-Newton direction, scaled to a norm
+    of at most _MAX_STEP and halved up to _HALVINGS times until the Armijo
+    condition holds. The 16 x 16 inverse Hessian is updated only when
+    s^T y > _CURVATURE, and reset to the identity when its direction is
+    not an ascent. A chain stops after ``iters`` steps, at a gradient norm
+    below _GRAD_TOL, or when its line search fails.
+
+    Chain 0 of each spectrum starts at the identity, the others at Haar
+    unitaries drawn in turn from its generator. All P x restarts chains
+    run as one stack, and every operation acts on each chain alone, so a
+    spectrum's values equal those of a call with it alone. The value is
+    v of _concurrence_eig at the chain's last U, which is its witness.
     """
     points = len(q)
     chains = points * restarts
     u = np.empty((chains, 4, 4), dtype=complex)
-    streams = []
     for i, rng in enumerate(rngs):
-        for r in range(restarts):
-            u[i * restarts + r] = np.eye(4) if r == 0 else haar_unitary(4, rng)
-            streams.append(copy.deepcopy(rng))
-            for _ in _noise_blocks(rng, iters, _NOISE_CHAIN_STEPS):
-                pass
+        u[i * restarts] = np.eye(4)
+        for r in range(1, restarts):
+            u[i * restarts + r] = haar_unitary(4, rng)
     q = np.repeat(q, restarts, axis=0)
-    cur = _ef_on_orbit(u, q)
-    s = np.full(chains, 0.1)  # each chain's first step
-    rejected = np.zeros(chains, dtype=int)
-    steps = max(1, _NOISE_CHAIN_STEPS // chains)
-    for blocks in zip(*(_noise_blocks(stream, iters, steps) for stream in streams)):
-        g = np.stack(blocks, axis=1)
-        g = g[:, :, 0] + 1j * g[:, :, 1]
-        for h in (g + g.conj().swapaxes(-1, -2)) / 2.0:
-            w, vmat = np.linalg.eigh(s[:, None, None] * h)
-            u_trial = (vmat * np.exp(1j * w)[:, None, :]) @ vmat.conj().swapaxes(-1, -2) @ u
-            val = _ef_on_orbit(u_trial, q)
-            up = val > cur
-            u = np.where(up[:, None, None], u_trial, u)
-            cur = np.where(up, val, cur)
-            rejected = np.where(up, 0, rejected + 1)
-            halve = rejected >= 50
-            s = np.where(halve, s * 0.5, s)
-            rejected = np.where(halve, 0, rejected)
-    cur = cur.reshape(points, restarts)
-    best = np.argmax(cur, axis=1)
+    f, g = _orbit_objective(u, q)
+    hinv = np.tile(np.eye(16), (chains, 1, 1))
+    d = np.zeros((chains, 16))
+    slope, t = np.zeros(chains), np.zeros(chains)
+    halvings, steps = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)
+    # Every round makes one trial step on each chain still searching, so a
+    # chain's line search does not wait for the others'.
+    fresh, live = np.arange(chains), np.arange(0)
+    while True:
+        fresh = fresh[(steps[fresh] < iters) & (np.sqrt(np.sum(g[fresh] ** 2, axis=1)) >= _GRAD_TOL)]
+        if fresh.size:
+            df = (hinv[fresh] @ g[fresh][:, :, None])[:, :, 0]
+            sf = np.sum(g[fresh] * df, axis=1)
+            reset = sf <= 0.0
+            hinv[fresh[reset]] = np.eye(16)
+            df[reset] = g[fresh[reset]]
+            sf[reset] = np.sum(df[reset] ** 2, axis=1)
+            d[fresh], slope[fresh], halvings[fresh] = df, sf, 0
+            t[fresh] = np.minimum(1.0, _MAX_STEP / np.sqrt(np.sum(df * df, axis=1)))
+            live = np.concatenate([live, fresh])
+        if live.size == 0:
+            break
+        step = t[live, None] * d[live]
+        u_try = _rotate(u[live], step)
+        f_try, g_try = _orbit_objective(u_try, q[live])
+        ok = f_try >= f[live] + _ARMIJO * t[live] * slope[live]
+        moved = live[ok]
+        s, y = step[ok], g[moved] - g_try[ok]  # y: the change of the gradient of -F
+        sy = np.sum(s * y, axis=1)
+        upd = sy > _CURVATURE
+        if upd.any():
+            c, s, y, rho = moved[upd], s[upd], y[upd], 1.0 / sy[upd, None, None]
+            e = np.eye(16) - rho * s[:, :, None] * y[:, None, :]
+            hinv[c] = e @ hinv[c] @ e.swapaxes(-1, -2) + rho * s[:, :, None] * s[:, None, :]
+        u[moved], f[moved], g[moved] = u_try[ok], f_try[ok], g_try[ok]
+        steps[moved] += 1
+        live = live[~ok]
+        halvings[live] += 1
+        t[live] *= 0.5
+        live = live[halvings[live] <= _HALVINGS]
+        fresh = moved
+    value = bounds.v(_concurrence_eig(u, q)).reshape(points, restarts)
+    best = np.argmax(value, axis=1)
     point = np.arange(points)
-    return cur[point, best], u.reshape(points, restarts, 4, 4)[point, best]
+    return value[point, best], u.reshape(points, restarts, 4, 4)[point, best]
 
 
 def max_ef_over_spectrum_numeric(
     p,
-    restarts: int = 20,
-    iters: int = 2000,
+    restarts: int = 8,
+    iters: int = 300,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Best E_f found over the unitary orbit of diag(p) by local search.
+    """Best E_f found over the unitary orbit of diag(p) by quasi-Newton ascent.
 
-    Random-restart hill climbing on U(4): each chain starts at the identity
-    (the first) or at a Haar-random unitary, proposes U <- exp(i step H) U
-    with H a random Hermitian direction and a first step of 0.1, accepts if
-    E_f improves, and halves its step after 50 consecutive rejections.
-    Independent of the closed-form cap, it serves as its oracle. The value
-    is E_f of a state on the orbit, evaluated to about 1e-15, so it errs low
-    up to rounding: it does not exceed ln 2 - s22_ef(p) by more than that.
+    ``restarts`` chains, the first from the identity and the others from
+    Haar unitaries drawn from ``rng``, each climb mu1 - mu2 - mu3 - mu4 of
+    the orbit point U diag(p) U^dagger by BFGS with an analytic gradient
+    and Armijo backtracking, for at most ``iters`` steps. Independent of
+    the closed-form cap and of MAX_EF_BASIS, it serves as their oracle. The
+    value is E_f at the best chain's last unitary U, which is its witness
+    (see _max_ef_orbit), evaluated to about 1e-15. So it errs low up to
+    rounding: it does not exceed ln 2 - s22_ef(p) by more than that. It
+    falls short where a chain stalls, as at a kink where singular values
+    coincide.
     """
     q = pad_spectrum(p, 4)
     if restarts < 1:

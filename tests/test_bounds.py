@@ -86,6 +86,15 @@ class TestKernels:
         for y in np.linspace(0.0, 1.0, 11):
             assert abs(w_pm(y, +1) + w_pm(y, -1) - v(y)) < 1e-14
 
+    def test_small_concurrence_does_not_cancel(self):
+        # 1 - sqrt(1 - y^2) rounds to 0 at y = 1e-8; the kernel is
+        # b (1 - ln b) + O(b^2) with b = y^2 / 4, and its + branch is b - O(b^2)
+        y = 1e-8
+        b = y * y / 4.0
+        assert abs(v(y) - b * (1.0 - math.log(b))) <= 1e-12 * b * (1.0 - math.log(b))
+        assert abs(w_pm(y, -1) + b * math.log(b)) <= -1e-12 * b * math.log(b)
+        assert abs(w_pm(y, +1) - b) <= 1e-12 * b
+
     def test_v_increasing(self):
         ys = np.linspace(0.0, 1.0, 1001)
         assert np.all(np.diff(v(ys)) > 0)
@@ -348,6 +357,15 @@ class TestStackedSolvers:
         # every kind's xi is ln 2 - g within rounding; exactly so without a closed form
         gap = np.abs(single - (LN2 - g_d_numeric(kind, 4, xs)))
         assert gap.max() <= (0.0 if kind == "mutual_information" else 1e-3)
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_one_domain_slack_for_every_kind(self, kind):
+        xmax = c_max(kind, 4)
+        assert xi_ef(kind, xmax + 1e-13) == xi_ef(kind, xmax)
+        with pytest.raises(DomainError):
+            xi_ef(kind, xmax + 1e-11)
+        with pytest.raises(DomainError):
+            xi_ef(kind, -1e-11)
 
     def test_rejects_a_level_outside_the_range(self):
         for kind in MonotoneKind:

@@ -224,3 +224,10 @@ class TestTightness:
         rows = list(csv.DictReader(lines[5:]))
         assert len(rows) == 3
         assert all(abs(float(row["gap_numeric"])) <= 1e-3 for row in rows)
+
+    @pytest.mark.parametrize("kind", ["hellinger", "bures"])
+    def test_default_grid_is_tight_to_rounding(self, tmp_path, kind):
+        text = run_to_text(tmp_path, "t.csv", ["tightness", "--kind", kind, "--tolerance", "1e-9"])
+        rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert len(rows) == 20
+        assert all(float(row["ef_numeric"]) <= float(row["bound"]) + 1e-12 for row in rows)

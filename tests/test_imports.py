@@ -11,6 +11,9 @@ one as an argument.
 The concurrence has one kernel, on singular values of a state in eigenform:
 no code calls the non-Hermitian eigensolvers numpy.linalg.eig or eigvals,
 so a second concurrence path on eigenvalues of rho rho~ does not return.
+
+Modules import each other at the top only: no function holds a relative
+import, so no import cycle hides behind a deferred one.
 """
 
 import ast
@@ -141,3 +144,37 @@ def test_no_non_hermitian_eigensolver():
         for line, name in non_hermitian_solver_sites(path.read_text(encoding="utf-8"), str(path))
     ]
     assert not bad, "non-Hermitian eigensolvers: " + ", ".join(bad)
+
+
+def function_level_relative_imports(source: str, filename: str = "<string>") -> list[int]:
+    """Lines of the relative imports inside a function body."""
+    return sorted({
+        sub.lineno
+        for node in ast.walk(ast.parse(source, filename=filename))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.ImportFrom) and sub.level > 0
+    })
+
+
+def test_scanner_sees_every_function_level_relative_import():
+    source = (
+        "from . import bounds\n"
+        "def f():\n"
+        "    from .measures import _s22\n"
+        "    import os\n"
+        "    def g():\n"
+        "        from .. import qcore\n"
+    )
+    assert function_level_relative_imports(source) == [3, 6]
+
+
+def test_no_function_level_relative_import():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert files
+    bad = [
+        f"{path.name}:{line}"
+        for path in files
+        for line in function_level_relative_imports(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not bad, "relative imports inside functions: " + ", ".join(bad)

@@ -7,7 +7,11 @@ from entcorr.bounds import LN2, beta_deform, v
 from entcorr.measures import (
     MAX_EF_BASIS,
     _concurrence_eig,
+    _coords,
+    _hermitian,
     _max_ef_orbit,
+    _orbit_objective,
+    _rotate,
     concurrence,
     entanglement_of_formation,
     is_abs_separable_2xd,
@@ -39,41 +43,6 @@ BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 YY = np.kron(PAULI_Y, PAULI_Y).real  # real in the computational basis
-
-
-def sequential_orbit_search(p, restarts, iters, rng, step=0.1):
-    """Reference: the orbit search with one chain and one scalar concurrence
-    at a time, as it ran before the chains were stacked. The concurrence is
-    Wootters' in eigenform, with the mu_i the singular values of
-    sqrt(q) U^T (Y x Y) U sqrt(q) and Y x Y applied as a matrix."""
-    q = pad_spectrum(p, 4)
-
-    def ef_of(unitary):
-        b = np.sqrt(q)[:, None] * (unitary.T @ (YY @ unitary)) * np.sqrt(q)
-        mu = np.linalg.svd(b, compute_uv=False)
-        return float(v(max(0.0, mu[0] - mu[1] - mu[2] - mu[3])))
-
-    best = 0.0
-    for r in range(restarts):
-        u_cur = np.eye(4, dtype=complex) if r == 0 else haar_unitary(4, rng)
-        cur = ef_of(u_cur)
-        s = step
-        rejected = 0
-        for _ in range(iters):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            h = (g + g.conj().T) / 2.0
-            w, vmat = np.linalg.eigh(s * h)
-            u_trial = (vmat * np.exp(1j * w)) @ vmat.conj().T @ u_cur
-            val = ef_of(u_trial)
-            if val > cur:
-                u_cur, cur, rejected = u_trial, val, 0
-            else:
-                rejected += 1
-                if rejected >= 50:
-                    s *= 0.5
-                    rejected = 0
-        best = max(best, cur)
-    return best
 
 
 def werner(w):
@@ -281,35 +250,23 @@ class TestMaxEfNumeric:
             assert numeric <= bound + 1e-6
             assert abs(entanglement_of_formation(max_ef_state(p)) - bound) < 1e-6
 
-    def test_matches_sequential_reference(self):
-        # 37 steps is not a whole number of noise blocks
-        rng = worker_rng(18)
-        for i in range(10):
-            p = random_spectrum(4, rng)
-            for iters in (37, 200):
-                ref_rng, rng_used = worker_rng(19, i), worker_rng(19, i)
-                expected = sequential_orbit_search(p, 3, iters, ref_rng)
-                assert max_ef_over_spectrum_numeric(
-                    p, restarts=3, iters=iters, rng=rng_used
-                ) == expected
-                assert rng_used.bit_generator.state == ref_rng.bit_generator.state
-
     def test_witness_attains_the_value(self):
+        # the witness U re-checks through the public entanglement_of_formation
         rng = worker_rng(20)
-        for i in range(5):
-            p = random_spectrum(4, rng)
+        for i, rank in enumerate((4, 3, 2, 1, 4)):
+            p = random_spectrum(rank, rng)
             q = pad_spectrum(p, 4)
             values, witnesses = _max_ef_orbit(q[None], 3, 200, [worker_rng(21, i)])
             value, u = values[0], witnesses[0]
             assert value == max_ef_over_spectrum_numeric(
                 p, restarts=3, iters=200, rng=worker_rng(21, i)
             )
+            assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
             assert abs(entanglement_of_formation((u * q) @ u.conj().T) - value) <= 1e-12
             assert value <= LN2 - s22_ef(p) + 1e-9
 
     def test_stacked_points_match_single_calls(self):
-        # 12 chains take 33-step noise blocks, one chain 133-step ones, and
-        # 37 steps is a whole number of neither
+        # chains of one point stop at other steps than those of the others
         rng = worker_rng(25)
         q = np.array([pad_spectrum(random_spectrum(k, rng), 4) for k in (4, 2, 3, 1)])
         rngs = [worker_rng(26, i) for i in range(len(q))]
@@ -321,10 +278,58 @@ class TestMaxEfNumeric:
             assert np.array_equal(witnesses[i], witness[0])
             assert rngs[i].bit_generator.state == single_rng.bit_generator.state
 
+    def test_reaches_the_cap_on_random_spectra(self):
+        rng = worker_rng(27)
+        misses = []
+        for i in range(12):
+            p = random_spectrum(1 + i % 4, rng)
+            value = max_ef_over_spectrum_numeric(p, rng=worker_rng(28, i))
+            misses.append(LN2 - s22_ef(p) - value)
+        assert min(misses) >= -1e-13  # errs low, up to rounding
+        assert max(misses) <= 1e-4
+
+    def test_no_steps_evaluates_the_starts(self):
+        p = random_spectrum(4, worker_rng(29))
+        q = pad_spectrum(p, 4)
+        value, witness = _max_ef_orbit(q[None], 1, 0, [worker_rng(30)])
+        assert np.array_equal(witness[0], np.eye(4))
+        assert value[0] == v(_concurrence_eig(np.eye(4, dtype=complex), q))
+
     @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iters": -1}])
     def test_rejects_empty_budget(self, budget):
         with pytest.raises(DomainError):
             max_ef_over_spectrum_numeric(np.array([0.5, 0.5]), **budget)
+
+
+class TestOrbitGradient:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_central_differences(self, rank):
+        # F along exp(i t E_j) U, E_j the orthonormal Hermitian basis
+        rng = worker_rng(31, rank)
+        h = 1e-6
+        for _ in range(10):
+            q = pad_spectrum(random_spectrum(rank, rng), 4)
+            u = haar_unitary(4, rng)
+            f, grad = _orbit_objective(u, q)
+            b = np.sqrt(q)[:, None] * (u.T @ YY @ u) * np.sqrt(q)
+            mu = np.linalg.svd(b, compute_uv=False)
+            assert abs(f - (mu[0] - mu[1] - mu[2] - mu[3])) <= 1e-14  # unclipped
+            numeric = np.empty(16)
+            for j in range(16):
+                e = np.zeros(16)
+                e[j] = h
+                up = _orbit_objective(_rotate(u, e), q)[0]
+                down = _orbit_objective(_rotate(u, -e), q)[0]
+                numeric[j] = (up - down) / (2.0 * h)
+            assert np.linalg.norm(numeric - grad) <= 1e-6 * np.linalg.norm(grad)
+
+    def test_basis_is_orthonormal(self):
+        basis = _hermitian(np.eye(16))
+        assert np.allclose(basis, basis.conj().swapaxes(-1, -2))
+        gram = np.einsum("iab,jba->ij", basis, basis)
+        assert np.allclose(gram, np.eye(16), atol=1e-15)
+        g = _hermitian(worker_rng(32).standard_normal(16))
+        assert np.allclose(_hermitian(_coords(g)), g, atol=1e-15)
 
 
 class TestSeparabilityConditions:
