@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import _f_mutual_information, c_max, f_value, kind_of
+from .correlations import _f_mutual_information, c_max, kind_of
 from .qcore import DomainError, validate_spectrum
 
 LN2 = math.log(2.0)
@@ -196,73 +196,94 @@ def beta_deform(p, beta: float) -> np.ndarray:
     and the j-1 tied ones shrink by eta/(j-1), up to the largest eta* that
     keeps the order; beyond beta = 1 + eta* the power branch continues from
     the tie-broken vector with exponent beta - eta*. The result majorizes
-    the input for every beta >= 1 and is continuous in beta.
+    the input for every beta >= 1 and is continuous in beta. Components
+    that reach zero are dropped. The validated form of _beta_deform_stack.
     """
     p = validate_spectrum(p)
     beta = float(beta)
     if beta < 1.0 - 1e-12:
         raise DomainError("beta must be >= 1")
-    beta = max(beta, 1.0)
+    q = _beta_deform_stack(p, np.array([max(beta, 1.0)]))[0]
+    return q[q > 0.0]
+
+
+def _beta_deform_stack(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """beta_deform of one checked spectrum p at each beta >= 1 of a 1-D array,
+    as rows padded with zeros, shaped (n, p.size); unchecked."""
     r = p.size
     ties = np.nonzero(p >= p[0] * (1.0 - _TIE_RTOL))[0]
     j = int(ties[-1]) + 1  # length of the leading tie run
-
     if r == 1 or j == 1:
         return _power_branch(p, beta)
 
     p_next = p[j] if j < r else 0.0
     eta_star = (j - 1) * (p[0] - p_next)
-    eta = min(beta - 1.0, eta_star)
-    broken = p.copy()
-    broken[0] = p[0] + eta
-    broken[1:j] = p[0] - eta / (j - 1)
-    broken = broken[broken > 0.0]
-    broken = np.sort(broken)[::-1] / broken.sum()
-    if beta <= 1.0 + eta_star:
-        return broken
-    return _power_branch(broken, beta - eta_star)
+    eta = np.minimum(beta - 1.0, eta_star)
+    broken = np.tile(p, (beta.size, 1))
+    broken[:, 0] = p[0] + eta
+    broken[:, 1:j] = (p[0] - eta / (j - 1))[:, None]
+    broken = np.where(broken > 0.0, broken, 0.0)
+    broken = np.sort(broken, axis=1)[:, ::-1] / broken.sum(axis=1, keepdims=True)
+    far = beta > 1.0 + eta_star
+    broken[far] = _power_branch(broken[far], beta[far] - eta_star)
+    return broken
 
 
-def _power_branch(p: np.ndarray, beta: float) -> np.ndarray:
-    ratios = p / p[0]
-    with np.errstate(under="ignore"):
-        q = np.exp(beta * np.log(ratios))
-    q = q[q > 0.0]
-    return q / q.sum()
+def _power_branch(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Rows proportional to (p_i / p_1)^beta, one per beta; p is one
+    spectrum or one per beta, padded with zeros."""
+    ratios = p / p[..., :1]
+    with np.errstate(divide="ignore", under="ignore"):
+        q = np.exp(beta[:, None] * np.log(ratios))
+    return q / q.sum(axis=1, keepdims=True)
 
 
-def spectrum_at_f(kind: str, x: float, base=None, tol: float = 1e-12) -> np.ndarray:
+def spectrum_at_f(kind: str, x, base=None) -> np.ndarray:
     """Spectrum p with f_kind(p) = x, found by bisection on beta_deform.
 
     ``base`` must have f_kind(base) >= x; by default the uniform 4-spectrum,
-    whose beta family sweeps every correlation value down to zero.
+    whose beta family sweeps every correlation value down to zero. Levels
+    beyond [0, f_kind(base)] by more than 1e-12 raise DomainError; the
+    others are clipped into it. Takes a scalar or an array x: a scalar
+    gives the spectrum with its zero components dropped, an array its
+    spectra padded with zeros, shaped x.shape + (base.size,). The levels
+    run as one masked bisection, each with the bits it has alone: beta
+    doubles from 2 while f > x (up to 1e6), then up to 200 halvings, until
+    hi - lo < 1e-16 max(1, hi); of lo, hi and their midpoint the one
+    closest to x wins, the first on a tie.
     """
+    f = kind_of(kind).f
     if base is None:
         base = np.full(4, 0.25)
     base = validate_spectrum(base)
-    fx = f_value(kind, base)
-    if x < -tol or x > fx + 1e-9:
-        raise DomainError(f"target {x} outside the reachable range [0, {fx}]")
-    x = min(max(x, 0.0), fx)
+    fx = float(f(base))
+    levels = np.asarray(x, dtype=float)
+    bad = (levels < -_DOMAIN_SLACK) | (levels > fx + _DOMAIN_SLACK)
+    if bad.any():
+        raise DomainError(f"target {levels[bad][0]} outside the reachable range [0, {fx}]")
+    xs = np.clip(levels, 0.0, fx).ravel()
 
-    lo, hi = 1.0, 2.0
-    while f_value(kind, beta_deform(base, hi)) > x and hi < 1e6:
-        hi *= 2.0
+    lo, hi = np.ones_like(xs), np.full_like(xs, 2.0)
+    grow = np.arange(xs.size)
+    while grow.size:
+        grow = grow[(f(_beta_deform_stack(base, hi[grow])) > xs[grow]) & (hi[grow] < 1e6)]
+        hi[grow] *= 2.0
+    live = np.arange(xs.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_value(kind, beta_deform(base, mid)) > x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-16 * max(1.0, hi):
+        if live.size == 0:
             break
-    best = None
-    for b in (lo, hi, 0.5 * (lo + hi)):
-        q = beta_deform(base, b)
-        err = abs(f_value(kind, q) - x)
-        if best is None or err < best[0]:
-            best = (err, q)
-    return best[1]
+        mid = 0.5 * (lo[live] + hi[live])
+        above = f(_beta_deform_stack(base, mid)) > xs[live]
+        lo[live[above]] = mid[above]
+        hi[live[~above]] = mid[~above]
+        live = live[~(hi[live] - lo[live] < 1e-16 * np.maximum(1.0, hi[live]))]
+    betas = np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)
+    q = _beta_deform_stack(base, betas.ravel()).reshape(xs.size, 3, base.size)
+    best = np.argmin(np.abs(f(q) - xs[:, None]), axis=1)
+    q = q[np.arange(xs.size), best]
+    if levels.ndim == 0:
+        return q[0][q[0] > 0.0]
+    return q.reshape(levels.shape + (base.size,))
 
 
 # ---------------------------------------------------------------------------

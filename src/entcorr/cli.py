@@ -324,9 +324,9 @@ def run_ccbound(cfg: RunConfig) -> None:
     rows = []
     worst_c = 0.0
     worst_e = 0.0
-    for x, zeta in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist()):
-        p = spectrum_at_f(cc_kind, x)
-        rho = strictly_correlated_cc(p, 4, 4)
+    spectra = spectrum_at_f(cc_kind, xs)
+    for x, zeta, p in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist(), spectra):
+        rho = strictly_correlated_cc(p[p > 0.0], 4, 4)
         c_num = c_distance_numeric(rho, (4, 4), cfg.kind)
         e_a = entanglement_of_formation(partial_trace(rho, (4, 4), keep=1))
         rows.append([x, zeta, c_num, c_num - x, e_a])

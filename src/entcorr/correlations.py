@@ -209,50 +209,90 @@ def _square_unit(m: np.ndarray) -> np.ndarray:
 def _bures_value_grad(sqrt_rho: np.ndarray, sigma: np.ndarray):
     """Root fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)) and twice its gradient
     in sigma, G = sqrt(rho) (sqrt(rho) sigma sqrt(rho))^(-1/2) sqrt(rho) (the
-    inverse root taken on the support)."""
+    inverse root taken on the support), for each sigma of a stack shaped
+    (n, d, d); one batched eigh."""
     w, vmat = np.linalg.eigh(sqrt_rho @ sigma @ sqrt_rho)
-    root = np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))
+    root = np.sqrt(np.where(w > TOL_SUPPORT * w[:, -1:], w, 0.0))
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
     half = sqrt_rho @ vmat
-    return float(root.sum()), (half * inv_root) @ half.conj().T
+    return root.sum(axis=-1), (half * inv_root[:, None, :]) @ half.conj().swapaxes(-1, -2)
+
+
+def _kron(sigma_a: np.ndarray, sigma_b: np.ndarray) -> np.ndarray:
+    """np.kron of each pair of two stacks, shaped (n, d_a, d_a) and (n, d_b, d_b)."""
+    n, d_a, d_b = len(sigma_a), sigma_a.shape[-1], sigma_b.shape[-1]
+    prod = sigma_a[:, :, None, :, None] * sigma_b[:, None, :, None, :]
+    return prod.reshape(n, d_a * d_b, d_a * d_b)
+
+
+def _hradil_step(r: np.ndarray, cur: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """R cur R^dagger / tr with R = I + e r, Hermitian part; stacks of r and cur."""
+    step = np.eye(r.shape[-1]) + e[:, None, None] * r
+    trial = step @ cur @ step.conj().swapaxes(-1, -2)
+    norm = 2.0 * np.trace(trial, axis1=-2, axis2=-1).real
+    return (trial + trial.conj().swapaxes(-1, -2)) / norm[:, None, None]
 
 
 def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200):
-    """Monotone alternating ascent for a mixed target.
+    """Monotone alternating ascents for a mixed target, one chain per pair
+    of the stacks sigma_a (n, d_A, d_A) and sigma_b (n, d_B, d_B). Returns
+    the stacks reached and their root fidelities.
 
     For fixed sigma_B the root fidelity is concave in sigma_A with gradient
-    tr_B[G (I x sigma_B)] / 2, and symmetrically for sigma_B. Each factor
-    takes a diluted Hradil step sigma <- R sigma R / tr with R = I + eps R_grad,
-    accepted only if the affinity rises and otherwise retried with eps halved;
-    an accepted step doubles the factor's eps for the next sweep.
+    tr_B[G (I x sigma_B)] / 2, and symmetrically for sigma_B. A sweep steps
+    sigma_A, then sigma_B. Each factor takes a diluted Hradil step
+    sigma <- R sigma R / tr with R = I + eps R_grad, accepted only if the
+    affinity strictly rises and otherwise retried with eps halved; an
+    accepted step doubles the factor's eps for the next sweep, and the
+    factor gives up once eps <= 1e-12, keeping its eps. A chain stops when
+    a sweep gains at most 1e-15, or after ``iters`` >= 1 sweeps.
+
+    Every round makes one trial on each chain still climbing, and all
+    trials share one batched eigh. Every operation acts on each chain
+    alone, so a chain's trials and result are those of its solo run.
     """
-    d_a, d_b = sigma_a.shape[0], sigma_b.shape[0]
-    val, grad = _bures_value_grad(sqrt_rho, np.kron(sigma_a, sigma_b))
-    eps = [1.0, 1.0]
-    for _ in range(iters):
-        start = val
-        for side in (0, 1):
-            g4 = grad.reshape(d_a, d_b, d_a, d_b)
-            if side == 0:
-                r, cur = np.einsum("ijkl,lj->ik", g4, sigma_b), sigma_a
-            else:
-                r, cur = np.einsum("ijkl,ki->jl", g4, sigma_a), sigma_b
-            e = eps[side]
-            while e > 1e-12:
-                step = np.eye(r.shape[0]) + e * r
-                trial = step @ cur @ step.conj().T
-                trial = (trial + trial.conj().T) / (2.0 * np.trace(trial).real)
-                pair = (trial, sigma_b) if side == 0 else (sigma_a, trial)
-                new, new_grad = _bures_value_grad(sqrt_rho, np.kron(*pair))
-                if new > val:
-                    sigma_a, sigma_b = pair
-                    val, grad = new, new_grad
-                    eps[side] = 2.0 * e
-                    break
-                e *= 0.5
-        if val <= start + 1e-15:
-            break
-    return sigma_a, sigma_b, val
+    d_a, d_b = sigma_a.shape[-1], sigma_b.shape[-1]
+    sigma_a, sigma_b = sigma_a.copy(), sigma_b.copy()
+    val, grad = _bures_value_grad(sqrt_rho, _kron(sigma_a, sigma_b))
+    out_a, out_b, out_val = np.empty_like(sigma_a), np.empty_like(sigma_b), np.empty_like(val)
+    # the chains still climbing, in order; every array below holds one row per chain
+    chain = np.arange(val.size)
+    eps_a, eps_b, e = np.ones(chain.size), np.ones(chain.size), np.ones(chain.size)
+    on_a, sweeps, start = np.ones(chain.size, dtype=bool), np.zeros(chain.size, dtype=int), val
+    while chain.size:
+        # eps only grows by doubling an e > 1e-12, so each side makes a trial
+        on_b = ~on_a
+        g4 = grad.reshape(-1, d_a, d_b, d_a, d_b)
+        trial_a, trial_b = sigma_a.copy(), sigma_b.copy()
+        if on_a.any():
+            r = np.einsum("nijkl,nlj->nik", g4[on_a], sigma_b[on_a])
+            trial_a[on_a] = _hradil_step(r, sigma_a[on_a], e[on_a])
+        if on_b.any():
+            r = np.einsum("nijkl,nki->njl", g4[on_b], sigma_a[on_b])
+            trial_b[on_b] = _hradil_step(r, sigma_b[on_b], e[on_b])
+        new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a, trial_b))
+        ok = new > val
+        sigma_a[ok], sigma_b[ok], grad[ok] = trial_a[ok], trial_b[ok], new_grad[ok]
+        val = np.where(ok, new, val)
+        eps_a = np.where(ok & on_a, 2.0 * e, eps_a)
+        eps_b = np.where(ok & on_b, 2.0 * e, eps_b)
+        e = np.where(ok, e, 0.5 * e)
+        ended = ok | (e <= 1e-12)
+        swept = ended & on_b
+        sweeps = sweeps + swept
+        stop = swept & ((val <= start + 1e-15) | (sweeps >= iters))
+        start = np.where(swept, val, start)
+        on_a = on_a ^ ended
+        e = np.where(ended, np.where(on_a, eps_a, eps_b), e)
+        if stop.any():
+            done = chain[stop]
+            out_a[done], out_b[done], out_val[done] = sigma_a[stop], sigma_b[stop], val[stop]
+            keep = ~stop
+            chain, sigma_a, sigma_b, val, grad = (
+                chain[keep], sigma_a[keep], sigma_b[keep], val[keep], grad[keep])
+            eps_a, eps_b, e, on_a, sweeps, start = (
+                eps_a[keep], eps_b[keep], e[keep], on_a[keep], sweeps[keep], start[keep])
+    return out_a, out_b, out_val
 
 
 def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
@@ -264,30 +304,30 @@ def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
     attained by its top Schmidt pair. On a mixed target it keeps the best
     of ``restarts`` ascents, from the marginals of rho, from maximally mixed
-    factors and from full-rank random factors drawn from ``rng``; starts
-    are full rank because a Hradil step R sigma R^dagger keeps the rank.
-    ``restarts`` and ``rng`` act on this case only.
+    factors and from full-rank random factors, drawn from ``rng`` as
+    random_density(d_A) then random_density(d_B) for each later restart;
+    starts are full rank because a Hradil step R sigma R^dagger keeps the
+    rank. The ascents run as one stack, each with the trials of its solo
+    run, and the first of equal best values is kept. ``restarts`` and
+    ``rng`` act on this case only.
     """
     if np.trace(rho @ rho).real > 1.0 - 1e-12:
         psi = np.linalg.eigh(rho)[1][:, -1].reshape(d_a, d_b)
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
         return _distance(s[0]), sigma_a, sigma_b
-    sqrt_rho = matrix_sqrt_psd(rho)
-    best = (-math.inf, None, None)
-    for r in range(restarts):
-        if r == 0:
-            sigma_a = partial_trace(rho, (d_a, d_b), keep=1)
-            sigma_b = partial_trace(rho, (d_a, d_b), keep=2)
-        elif r == 1:
-            sigma_a, sigma_b = np.eye(d_a) / d_a, np.eye(d_b) / d_b
-        else:
-            sigma_a, sigma_b = random_density(d_a, d_a, rng), random_density(d_b, d_b, rng)
-        sigma_a, sigma_b, aff = _polish_bures_mixed(sqrt_rho, sigma_a, sigma_b)
-        if aff > best[0]:
-            best = (aff, sigma_a, sigma_b)
-    aff, sigma_a, sigma_b = best
-    return _distance(aff), sigma_a, sigma_b
+    starts_a = [partial_trace(rho, (d_a, d_b), keep=1), np.eye(d_a) / d_a]
+    starts_b = [partial_trace(rho, (d_a, d_b), keep=2), np.eye(d_b) / d_b]
+    for _ in range(2, restarts):
+        starts_a.append(random_density(d_a, d_a, rng))
+        starts_b.append(random_density(d_b, d_b, rng))
+    sigma_a, sigma_b, aff = _polish_bures_mixed(
+        matrix_sqrt_psd(rho),
+        np.array(starts_a[:restarts], dtype=complex),
+        np.array(starts_b[:restarts], dtype=complex),
+    )
+    best = int(np.argmax(aff))
+    return _distance(aff[best]), sigma_a[best], sigma_b[best]
 
 
 def c_distance_numeric(
@@ -305,11 +345,13 @@ def c_distance_numeric(
     Bures on mixed targets runs ``restarts`` monotone ascents of the root
     fidelity (diluted Hradil steps), the first from the marginals of rho,
     the second from maximally mixed factors, the rest from full-rank random
-    factors drawn from ``rng``, and returns the best. That value is attained
-    by a product state, so it errs high: never below the true infimum; the
-    objective is not jointly concave in the two factors, and the random
-    starts reach basins that the two fixed starts miss. ``restarts`` and
-    ``rng`` act on Bures mixed targets only.
+    factors drawn from ``rng``, and returns the best. The ascents run as one
+    stack, and each makes the trials of its solo run, so the value does not
+    depend on how many run beside it. That value is attained by a product
+    state, so it errs high: never below the true infimum; the objective is
+    not jointly concave in the two factors, and the random starts reach
+    basins that the two fixed starts miss. ``restarts`` and ``rng`` act on
+    Bures mixed targets only.
     """
     row = kind_of(kind)
     if row.closest is None:

@@ -366,6 +366,13 @@ class TestStackedSolvers:
             xi_ef(kind, xmax + 1e-11)
         with pytest.raises(DomainError):
             xi_ef(kind, -1e-11)
+        # f at the default base of spectrum_at_f is c_max(kind, 4)
+        assert np.array_equal(spectrum_at_f(kind, xmax + 1e-13), spectrum_at_f(kind, xmax))
+        assert np.array_equal(spectrum_at_f(kind, -1e-13), spectrum_at_f(kind, 0.0))
+        with pytest.raises(DomainError):
+            spectrum_at_f(kind, xmax + 1e-11)
+        with pytest.raises(DomainError):
+            spectrum_at_f(kind, -1e-11)
 
     def test_rejects_a_level_outside_the_range(self):
         for kind in MonotoneKind:
@@ -374,6 +381,21 @@ class TestStackedSolvers:
                 g_d_numeric(kind, 4, xs)
             with pytest.raises(DomainError):
                 xi_ef(kind, -xs)
+            with pytest.raises(DomainError):
+                spectrum_at_f(kind, xs)
+
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_spectrum_at_f(self, kind):
+        # the default base, two tied bases and a rank-2 base
+        for base in (None, [0.4, 0.4, 0.2], np.full(3, 1.0 / 3.0), [0.7, 0.3]):
+            full = np.full(4, 0.25) if base is None else np.asarray(base)
+            xs = np.linspace(0.0, f_value(kind, full), 41)
+            stack = spectrum_at_f(kind, xs, base)
+            assert stack.shape == (41, full.size)
+            for x, row in zip(xs, stack):
+                alone = spectrum_at_f(kind, float(x), base)
+                assert np.array_equal(row[: alone.size], alone)
+                assert not row[alone.size:].any()
 
 
 class TestBoundCurve:

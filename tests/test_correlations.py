@@ -17,11 +17,13 @@ from entcorr.correlations import (
     mutual_information,
 )
 from entcorr.qcore import (
+    TOL_SUPPORT,
     DomainError,
     bures_distance,
     haar_pure,
     haar_unitary,
     hellinger_distance,
+    matrix_sqrt_psd,
     partial_trace,
     projector,
     random_density,
@@ -231,6 +233,78 @@ class TestCDistanceNumeric:
     def test_rejects_large_dimension(self):
         with pytest.raises(DomainError):
             c_distance_numeric(np.eye(128) / 128, (8, 16), "hellinger")
+
+
+def sequential_bures_closest(rho, d_a, d_b, restarts, rng):
+    """The Bures ascent on a mixed target as one restart after another, one
+    trial at a time: the reference for the stacked kernel."""
+
+    def value_grad(sqrt_rho, sigma):
+        w, vmat = np.linalg.eigh(sqrt_rho @ sigma @ sqrt_rho)
+        root = np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))
+        inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+        half = sqrt_rho @ vmat
+        return float(root.sum()), (half * inv_root) @ half.conj().T
+
+    def polish(sqrt_rho, sigma_a, sigma_b, iters=200):
+        val, grad = value_grad(sqrt_rho, np.kron(sigma_a, sigma_b))
+        eps = [1.0, 1.0]
+        for _ in range(iters):
+            start = val
+            for side in (0, 1):
+                g4 = grad.reshape(d_a, d_b, d_a, d_b)
+                if side == 0:
+                    r, cur = np.einsum("ijkl,lj->ik", g4, sigma_b), sigma_a
+                else:
+                    r, cur = np.einsum("ijkl,ki->jl", g4, sigma_a), sigma_b
+                e = eps[side]
+                while e > 1e-12:
+                    step = np.eye(r.shape[0]) + e * r
+                    trial = step @ cur @ step.conj().T
+                    trial = (trial + trial.conj().T) / (2.0 * np.trace(trial).real)
+                    pair = (trial, sigma_b) if side == 0 else (sigma_a, trial)
+                    new, new_grad = value_grad(sqrt_rho, np.kron(*pair))
+                    if new > val:
+                        sigma_a, sigma_b = pair
+                        val, grad = new, new_grad
+                        eps[side] = 2.0 * e
+                        break
+                    e *= 0.5
+            if val <= start + 1e-15:
+                break
+        return sigma_a, sigma_b, val
+
+    sqrt_rho = matrix_sqrt_psd(rho)
+    best = (-math.inf, None, None)
+    for r in range(restarts):
+        if r == 0:
+            sigma_a = partial_trace(rho, (d_a, d_b), keep=1)
+            sigma_b = partial_trace(rho, (d_a, d_b), keep=2)
+        elif r == 1:
+            sigma_a, sigma_b = np.eye(d_a) / d_a, np.eye(d_b) / d_b
+        else:
+            sigma_a, sigma_b = random_density(d_a, d_a, rng), random_density(d_b, d_b, rng)
+        sigma_a, sigma_b, aff = polish(sqrt_rho, sigma_a, sigma_b)
+        if aff > best[0]:
+            best = (aff, sigma_a, sigma_b)
+    aff, sigma_a, sigma_b = best
+    return math.sqrt(max(0.0, 2.0 - 2.0 * aff)), sigma_a, sigma_b
+
+
+class TestBuresStack:
+    def test_matches_the_per_restart_loop(self):
+        # rank-2 targets: 4 x 2 reductions of Haar states on 16 dimensions
+        targets = worker_rng(71)
+        for i in range(20):
+            rho = partial_trace(projector(haar_pure(16, targets)), (8, 2), keep=1)
+            for restarts in (1, 2, 4, 10):
+                ref_rng, rng = worker_rng(72, i), worker_rng(72, i)
+                want = sequential_bures_closest(rho, 4, 2, restarts, ref_rng)
+                got = KINDS["bures"].closest(rho, 4, 2, restarts, rng)
+                assert got[0] == want[0]
+                assert np.array_equal(got[1], want[1])
+                assert np.array_equal(got[2], want[2])
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRegistry:
