@@ -14,6 +14,12 @@ where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
 
+Every level is checked once, by _check_domain, and every bisection is one
+stacked _bisect: spectrum_at_f on the beta family, the mutual-information
+solver on its two families. Each level halves its own interval until no
+double lies strictly inside, then keeps the end closer to its level, the
+lower one on a tie.
+
 xi_ef, g_d_numeric and bound_curve take arrays of levels; the slice
 solvers run them as one stack, each level with the bits it has alone.
 
@@ -41,8 +47,10 @@ _DOMAIN_SLACK = 1e-12
 
 
 def _check_domain(y, lo: float, hi: float, name: str) -> np.ndarray:
+    """y clipped into [lo, hi]; DomainError if any entry lies farther out
+    than _DOMAIN_SLACK, or is NaN. The one level check of this module."""
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < lo - _DOMAIN_SLACK) or np.any(arr > hi + _DOMAIN_SLACK):
+    if not np.all((arr >= lo - _DOMAIN_SLACK) & (arr <= hi + _DOMAIN_SLACK)):
         raise DomainError(f"{name} must lie in [{lo}, {hi}]")
     return np.clip(arr, lo, hi)
 
@@ -98,9 +106,8 @@ def u(y):
     first = yy <= 0.5
     second = (~first) & (yy <= 2.0 / 3.0)
     args = np.where(first, 1.0 - yy, np.where(second, np.clip(2.0 - 3.0 * yy, 0.0, 1.0), 0.0))
-    vals = np.asarray(v(args), dtype=float)
-    out = np.where(first | second, vals, 0.0)
-    return _scalar_like(y, out)
+    plus, minus = _branch_terms(args)
+    return _scalar_like(y, np.where(first | second, plus + minus, 0.0))
 
 
 def _max_concurrence(q: np.ndarray) -> np.ndarray:
@@ -238,49 +245,60 @@ def _power_branch(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
+def _bisect(value, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Parameters in [lo, hi] at which value meets x, one per level; unchecked.
+
+    value maps a 1-D array of parameters to their values and rises with the
+    parameter. Every level in ``live`` halves its own interval, the midpoint
+    replacing lo where value(mid) < x and hi elsewhere, until no double lies
+    strictly inside; then every level keeps the end whose value is closer
+    to x, lo on a tie. The levels not in ``live`` only take that pick. lo
+    and hi are updated in place. However wide the interval, two adjacent
+    doubles are reached within 1076 halvings.
+    """
+    while True:
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (mid > lo[live]) & (mid < hi[live])
+        live, mid = live[inside], mid[inside]
+        if live.size == 0:
+            break
+        below = value(mid) < x[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+    closer = np.abs(value(hi) - x) < np.abs(value(lo) - x)
+    return np.where(closer, hi, lo)
+
+
 def spectrum_at_f(kind: str, x, base=None) -> np.ndarray:
     """Spectrum p with f_kind(p) = x, found by bisection on beta_deform.
 
     ``base`` must have f_kind(base) >= x; by default the uniform 4-spectrum,
     whose beta family sweeps every correlation value down to zero. Levels
-    beyond [0, f_kind(base)] by more than 1e-12 raise DomainError; the
-    others are clipped into it. Takes a scalar or an array x: a scalar
+    beyond [0, f_kind(base)] by more than 1e-12, or NaN, raise DomainError;
+    the others are clipped into it. Takes a scalar or an array x: a scalar
     gives the spectrum with its zero components dropped, an array its
     spectra padded with zeros, shaped x.shape + (base.size,). The levels
-    run as one masked bisection, each with the bits it has alone: beta
-    doubles from 2 while f > x (up to 1e6), then up to 200 halvings, until
-    hi - lo < 1e-16 max(1, hi); of lo, hi and their midpoint the one
-    closest to x wins, the first on a tie.
+    run as one stack, each with the bits it has alone: beta doubles from 2
+    while f > x (up to 1e6), then each level halves [1, beta] until no
+    double lies strictly inside and keeps the end whose f is closer to x,
+    the smaller beta on a tie (_bisect, on -f, which rises with beta).
     """
     f = kind_of(kind).f
     if base is None:
         base = np.full(4, 0.25)
     base = validate_spectrum(base)
-    fx = float(f(base))
-    levels = np.asarray(x, dtype=float)
-    bad = (levels < -_DOMAIN_SLACK) | (levels > fx + _DOMAIN_SLACK)
-    if bad.any():
-        raise DomainError(f"target {levels[bad][0]} outside the reachable range [0, {fx}]")
-    xs = np.clip(levels, 0.0, fx).ravel()
+    levels = _check_domain(x, 0.0, float(f(base)), "x")
+    xs = levels.ravel()
 
-    lo, hi = np.ones_like(xs), np.full_like(xs, 2.0)
+    hi = np.full_like(xs, 2.0)
     grow = np.arange(xs.size)
     while grow.size:
         grow = grow[(f(_beta_deform_stack(base, hi[grow])) > xs[grow]) & (hi[grow] < 1e6)]
         hi[grow] *= 2.0
-    live = np.arange(xs.size)
-    for _ in range(200):
-        if live.size == 0:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        above = f(_beta_deform_stack(base, mid)) > xs[live]
-        lo[live[above]] = mid[above]
-        hi[live[~above]] = mid[~above]
-        live = live[~(hi[live] - lo[live] < 1e-16 * np.maximum(1.0, hi[live]))]
-    betas = np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)
-    q = _beta_deform_stack(base, betas.ravel()).reshape(xs.size, 3, base.size)
-    best = np.argmin(np.abs(f(q) - xs[:, None]), axis=1)
-    q = q[np.arange(xs.size), best]
+    beta = _bisect(
+        lambda b: -f(_beta_deform_stack(base, b)), np.ones_like(xs), hi, -xs, np.arange(xs.size)
+    )
+    q = _beta_deform_stack(base, beta)
     if levels.ndim == 0:
         return q[0][q[0] > 0.0]
     return q.reshape(levels.shape + (base.size,))
@@ -364,27 +382,17 @@ def _on_entropy_level(family, top: float, x: np.ndarray) -> np.ndarray:
     """Members of family on [0, top] with Shannon entropy H = x / 2, by bisection.
 
     The entropy of each family rises with its parameter (the partial sums
-    of the spectrum fall), so each level is crossed exactly once. Every
-    level halves its own interval until no double lies strictly inside,
-    then keeps the end closer to its level (lo on a tie). Doubling is
-    exact, so comparing 2 H with x compares H with x / 2 bit for bit. A
-    level 0 is never bisected: it keeps parameter 0, the point mass. Takes
-    a 1-D array of levels and returns spectra shaped (n, 4).
+    of the spectrum fall), so each level is crossed exactly once; _bisect
+    finds it. Doubling is exact, so comparing 2 H with x compares H with
+    x / 2 bit for bit. A level 0 is never bisected: it keeps parameter 0,
+    the point mass. Takes a 1-D array of levels and returns spectra shaped
+    (n, 4).
     """
-    lo, hi = np.zeros_like(x), np.full_like(x, top)
-    live = np.flatnonzero(x > 0.0)
-    for _ in range(1100):  # two adjacent doubles are reached within 1076 halvings
-        mid = 0.5 * (lo[live] + hi[live])
-        inside = (mid > lo[live]) & (mid < hi[live])
-        live, mid = live[inside], mid[inside]
-        if live.size == 0:
-            break
-        below = _f_mutual_information(family(mid)) < x[live]
-        lo[live[below]] = mid[below]
-        hi[live[~below]] = mid[~below]
-    p_lo, p_hi = family(lo), family(hi)
-    closer = np.abs(_f_mutual_information(p_hi) - x) < np.abs(_f_mutual_information(p_lo) - x)
-    return np.where(closer[:, None], p_hi, p_lo)
+    t = _bisect(
+        lambda t: _f_mutual_information(family(t)),
+        np.zeros_like(x), np.full_like(x, top), x, np.flatnonzero(x > 0.0),
+    )
+    return family(t)
 
 
 def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
@@ -429,12 +437,8 @@ def g_d_numeric(kind: str, d: int, x):
     row = kind_of(kind)
     if d != 4:
         raise DomainError("only d = 4 (two-qubit internal system) is supported")
-    xmax = c_max(kind, 4)
-    levels = np.asarray(x, dtype=float)
-    bad = (levels < -_DOMAIN_SLACK) | (levels > xmax + _DOMAIN_SLACK)
-    if bad.any():
-        raise DomainError(f"infeasible correlation level {levels[bad][0]} for kind {row.name!r}")
-    flat = np.clip(levels, 0.0, xmax).ravel()
+    levels = _check_domain(x, 0.0, c_max(kind, 4), "x")
+    flat = levels.ravel()
     p = _g4_distance(kind, flat) if row.y is not None else _g4_mutual_information(flat)
     return _scalar_like(x, _s22(p).reshape(levels.shape))
 
@@ -461,14 +465,13 @@ def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     zeta(x) = xi(2x) on [0, c_max / 2], where no closed form exists:
     xi(x) = ln 2 - g_d_numeric(x), from the exact slice solver at each
     point's own level. The value at each point is s22_ef of a spectrum on
-    its slice, so the curve never lies above the true one.
+    its slice, so the curve never lies above the true one. The values are
+    returned as xi_ef gives them; the test suite checks that they do not
+    increase.
     """
     row = kind_of(kind)
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
-    if row.y is not None:
-        xs = np.linspace(0.0, c_max(kind, 4), grid)
-        return BoundCurve(row.name, xs, np.asarray(xi_ef(kind, xs), dtype=float))
-    xs = np.linspace(0.0, c_max(kind, 4) / 2.0, grid)
-    vals = np.minimum.accumulate(xi_ef(kind, 2.0 * xs))  # enforce the known monotone shape
-    return BoundCurve(row.name, xs, vals)
+    scale = 1.0 if row.y is not None else 2.0
+    xs = np.linspace(0.0, c_max(kind, 4) / scale, grid)
+    return BoundCurve(row.name, xs, xi_ef(kind, scale * xs))

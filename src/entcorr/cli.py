@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -59,9 +60,6 @@ _NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
 
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
-# Sample workers use rng streams 1..workers. Each tightness grid point draws
-# the Haar starts of its orbit ascents from stream point index + 1, also when
-# all points climb as one stack; the ascents themselves draw nothing.
 
 
 @dataclass
@@ -130,20 +128,20 @@ def _write_text(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[list[float]],
+def _emit(cfg: RunConfig, header: list[str], rows: Iterable[Sequence] | None,
           summary: dict, **meta) -> None:
+    """Write the rows as CSV, or as JSON with the summary; JSON leaves out
+    "records" when rows is None."""
     if cfg.format == "csv":
         lines = _meta_lines(cfg, **meta)
         lines.append(",".join(header))
         for row in rows:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
         _write_text(cfg.out, "\n".join(lines) + "\n")
         return
-    report = {
-        "config": asdict(cfg),
-        "summary": summary,
-        "records": [dict(zip(header, row)) for row in rows],
-    }
+    report = {"config": asdict(cfg), "summary": summary}
+    if rows is not None:
+        report["records"] = [dict(zip(header, row)) for row in rows]
     _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
 
 
@@ -216,6 +214,7 @@ def run_verify(cfg: RunConfig) -> None:
         cfg.samples // cfg.workers + (1 if w < cfg.samples % cfg.workers else 0)
         for w in range(cfg.workers)
     ]
+    # Sample worker w draws from rng stream w + 1.
     jobs = [
         (cfg.kind, cfg.dim_b, counts[w], cfg.seed, w + 1)
         for w in range(cfg.workers)
@@ -238,30 +237,15 @@ def run_verify(cfg: RunConfig) -> None:
         "min_slack": float(slacks.min()),
     }
 
-    if cfg.format == "json":
-        report: dict = {"config": asdict(cfg), "summary": summary}
-        if cfg.samples <= 10_000 or cfg.full:
-            report["records"] = [
-                {
-                    "idx": i,
-                    "x": x,
-                    "e": e,
-                    "bound": bound,
-                    "slack": slack,
-                    "spectrum": list(lam),
-                }
-                for i, (x, e, bound, slack, lam) in enumerate(records)
-            ]
-        _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
-    else:
-        lines = _meta_lines(
-            cfg, samples=cfg.samples, dim_b=cfg.dim_b, workers=cfg.workers,
-            tolerance=_fmt(cfg.tolerance),
-        )
-        lines.append("idx,x,e,bound,slack")
-        for i, (x, e, bound, slack, _) in enumerate(records):
-            lines.append(",".join([str(i), _fmt(x), _fmt(e), _fmt(bound), _fmt(slack)]))
-        _write_text(cfg.out, "\n".join(lines) + "\n")
+    # JSON records carry the spectrum, and past 10,000 samples JSON leaves
+    # the records out unless --full.
+    header = ["idx", "x", "e", "bound", "slack", "spectrum"][: 6 if cfg.format == "json" else 5]
+    keep = cfg.format == "csv" or cfg.samples <= 10_000 or cfg.full
+    rows = ((i, *rec[: len(header) - 1]) for i, rec in enumerate(records)) if keep else None
+    _emit(
+        cfg, header, rows, summary,
+        samples=cfg.samples, dim_b=cfg.dim_b, workers=cfg.workers, tolerance=_fmt(cfg.tolerance),
+    )
 
     if violations > 0:
         raise VerificationError(
@@ -278,6 +262,9 @@ def run_tightness(cfg: RunConfig) -> None:
     iters = cfg.opt_iters if cfg.opt_iters is not None else 300
     xs = [float(x) for x in np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)]
     spectra = [optimal_slice_spectrum(cfg.kind, x) for x in xs]
+    # Each grid point draws the Haar starts of its orbit ascents from rng
+    # stream point index + 1, also when all points climb as one stack; the
+    # ascents themselves draw nothing.
     e_nums, _ = _max_ef_orbit(
         np.array([pad_spectrum(p, 4) for p in spectra]),
         restarts,
@@ -399,19 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        kind=args.kind,
-        seed=args.seed,
-        samples=args.samples,
-        dim_b=args.dim_b,
-        grid=args.grid,
-        tolerance=args.tolerance,
-        out=args.out,
-        format=args.format,
-        full=args.full,
-        workers=args.workers,
-    )
+    return RunConfig(**vars(args))
 
 
 def run(cfg: RunConfig) -> int:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entcorr.bounds import (
     LN2,
+    _beta_deform_stack,
     _g4_mutual_information,
     _y_of_x,
     beta_deform,
@@ -21,9 +22,9 @@ from entcorr.bounds import (
     xi_ef,
     zeta_ef,
 )
-from entcorr.correlations import MonotoneKind, c_max, f_value
+from entcorr.correlations import MonotoneKind, c_max, f_value, kind_of
 from entcorr.measures import s22_ef
-from entcorr.qcore import DomainError, majorizes, random_spectrum, worker_rng
+from entcorr.qcore import DomainError, majorizes, random_spectrum, validate_spectrum, worker_rng
 
 RNG = worker_rng(31337)
 
@@ -254,6 +255,76 @@ class TestSpectrumAtF:
     def test_rejects_unreachable(self):
         with pytest.raises(DomainError):
             spectrum_at_f("bures", 1.5)
+
+
+def halving_spectrum_at_f(kind, xs, base):
+    """spectrum_at_f of a 1-D array of levels in [0, f(base)] as a masked
+    loop of up to 200 halvings with its own stop and pick, kept as the
+    reference for the shared bisection: it stops a level at
+    hi - lo < 1e-16 max(1, hi) and takes whichever of lo, hi and their
+    midpoint lands closest, the first on a tie."""
+    f = kind_of(kind).f
+    base = validate_spectrum(base)
+    lo, hi = np.ones_like(xs), np.full_like(xs, 2.0)
+    grow = np.arange(xs.size)
+    while grow.size:
+        grow = grow[(f(_beta_deform_stack(base, hi[grow])) > xs[grow]) & (hi[grow] < 1e6)]
+        hi[grow] *= 2.0
+    live = np.arange(xs.size)
+    for _ in range(200):
+        if live.size == 0:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        above = f(_beta_deform_stack(base, mid)) > xs[live]
+        lo[live[above]] = mid[above]
+        hi[live[~above]] = mid[~above]
+        live = live[~(hi[live] - lo[live] < 1e-16 * np.maximum(1.0, hi[live]))]
+    betas = np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)
+    q = _beta_deform_stack(base, betas.ravel()).reshape(xs.size, 3, base.size)
+    best = np.argmin(np.abs(f(q) - xs[:, None]), axis=1)
+    return q[np.arange(xs.size), best]
+
+
+class TestSpectrumAtFReference:
+    # the shared bisection lands on the bits of the 200-halving loop
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_matches_the_halving_loop(self, kind):
+        rng = worker_rng(43)
+        bases = [np.full(4, 0.25), [0.4, 0.4, 0.2], np.full(3, 1.0 / 3.0), [0.7, 0.3]]
+        for i in range(30):
+            p = random_spectrum(2 + i % 5, rng)
+            if i % 3 == 0:  # force a tie at the top
+                p[:2] = p[0]
+                p = np.sort(p)[::-1] / p.sum()
+            bases.append(p)
+        for base in bases:
+            top = f_value(kind, np.asarray(base))
+            xs = np.concatenate([np.linspace(0.0, top, 41), rng.uniform(0.0, top, 10)])
+            got = spectrum_at_f(kind, xs, base)
+            want = halving_spectrum_at_f(kind, xs, base)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNaN:
+    # a NaN level fails the one level check, alone or inside an array
+    @pytest.mark.parametrize("level", [math.nan, np.array([0.1, math.nan])])
+    def test_raises_domain_error(self, level):
+        calls = [
+            lambda: v(level),
+            lambda: u(level),
+            lambda: w_pm(level, +1),
+            lambda: w_pm(level, -1),
+            lambda: zeta_ef("hellinger", level),
+        ]
+        for kind in MonotoneKind:
+            calls += [
+                lambda kind=kind: xi_ef(kind, level),
+                lambda kind=kind: g_d_numeric(kind, 4, level),
+                lambda kind=kind: spectrum_at_f(kind, level),
+            ]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
 
 
 class TestG4:
