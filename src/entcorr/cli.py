@@ -12,6 +12,7 @@ floats. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,7 +358,10 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves
+    it unchanged, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="entcorr",
         description="Entanglement versus external correlations: curves and experiments",

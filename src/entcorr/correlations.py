@@ -244,8 +244,11 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200
     sigma <- R sigma R / tr with R = I + eps R_grad, accepted only if the
     affinity strictly rises and otherwise retried with eps halved; an
     accepted step doubles the factor's eps for the next sweep, and the
-    factor gives up once eps <= 1e-12, keeping its eps. A chain stops when
-    a sweep gains at most 1e-15, or after ``iters`` >= 1 sweeps.
+    factor gives up, keeping its eps, once eps <= 1e-12 or once a failed
+    trial ties the current affinity up to rounding, val - new <= 1e-15 val.
+    A chain stops when a sweep gains at most 1e-15, or after ``iters`` >= 1
+    sweeps. Each value returned is the root fidelity of the pair returned,
+    so its distance errs high.
 
     Every round makes one trial on each chain still climbing, and all
     trials share one batched eigh. Every operation acts on each chain
@@ -272,12 +275,13 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200
             trial_b[on_b] = _hradil_step(r, sigma_b[on_b], e[on_b])
         new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a, trial_b))
         ok = new > val
+        tie = val - new <= 1e-15 * val  # a failed trial within rounding of val
         sigma_a[ok], sigma_b[ok], grad[ok] = trial_a[ok], trial_b[ok], new_grad[ok]
         val = np.where(ok, new, val)
         eps_a = np.where(ok & on_a, 2.0 * e, eps_a)
         eps_b = np.where(ok & on_b, 2.0 * e, eps_b)
         e = np.where(ok, e, 0.5 * e)
-        ended = ok | (e <= 1e-12)
+        ended = ok | (e <= 1e-12) | tie
         swept = ended & on_b
         sweeps = sweeps + swept
         stop = swept & ((val <= start + 1e-15) | (sweeps >= iters))
@@ -343,11 +347,13 @@ def c_distance_numeric(
     largest singular value of the realigned sqrt(rho). Bures is exact on
     pure targets: sqrt(2 (1 - s1)), with s1 the top Schmidt coefficient.
     Bures on mixed targets runs ``restarts`` monotone ascents of the root
-    fidelity (diluted Hradil steps), the first from the marginals of rho,
-    the second from maximally mixed factors, the rest from full-rank random
-    factors drawn from ``rng``, and returns the best. The ascents run as one
-    stack, and each makes the trials of its solo run, so the value does not
-    depend on how many run beside it. That value is attained by a product
+    fidelity (diluted Hradil steps; a factor gives up once its step is at
+    most 1e-12 or a failed trial ties the current fidelity within 1e-15
+    relative), the first from the marginals of rho, the second from
+    maximally mixed factors, the rest from full-rank random factors drawn
+    from ``rng``, and returns the best. The ascents run as one stack, and
+    each makes the trials of its solo run, so the value does not depend on
+    how many run beside it. That value is attained by a product
     state, so it errs high: never below the true infimum; the objective is
     not jointly concave in the two factors, and the random starts reach
     basins that the two fixed starts miss. ``restarts`` and ``rng`` act on

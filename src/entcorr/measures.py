@@ -130,42 +130,50 @@ def max_ef_state(p) -> np.ndarray:
     return rho
 
 
-# Signs of the Wootters mu_i in the ascent objective mu1 - mu2 - mu3 - mu4.
-_MU_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+# Signs of the Wootters mu_i in the ascent objective mu1 - mu2 - mu3 - mu4,
+# once for the w and once for the x half of [w|x] in _orbit_objective, and
+# the column order that turns [Mw|Mx] into [Mx|Mw].
+_MU_SIGN2 = np.tile([1.0, -1.0, -1.0, -1.0], 2)
+_HALF_SWAP = np.roll(np.arange(8), 4)
+
+# Orthonormal basis E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2
+# (a < b) of the 4 x 4 Hermitian matrices under Re tr(G H), one flattened
+# matrix per row.
 _IU = np.triu_indices(4, 1)
-_DIAG = np.arange(4)
+_BASIS = np.zeros((16, 4, 4), dtype=complex)
+_BASIS[range(4), range(4), range(4)] = 1.0
+_BASIS[range(4, 10), _IU[0], _IU[1]] = _BASIS[range(4, 10), _IU[1], _IU[0]] = 1.0 / math.sqrt(2.0)
+_BASIS[range(10, 16), _IU[0], _IU[1]] = 1j / math.sqrt(2.0)
+_BASIS[range(10, 16), _IU[1], _IU[0]] = -1j / math.sqrt(2.0)
+_BASIS = _BASIS.reshape(16, 16)
+_EYE16 = np.eye(16)
 
 # Quasi-Newton ascent: Armijo constant, halvings per line search, largest
-# step norm, curvature needed for an update, and the stopping gradient.
+# step norm, curvature needed for an update, the stopping gradient, and the
+# relative resolution of F below which a rise is rounding noise.
 _ARMIJO = 1e-4
 _HALVINGS = 40
 _MAX_STEP = 1.0
 _CURVATURE = 1e-14
 _GRAD_TOL = 1e-10
+_F_RESOLUTION = 1e-15
 
 
 def _coords(g: np.ndarray) -> np.ndarray:
-    """Coordinates (..., 16) of Hermitian matrices (..., 4, 4) in the
-    orthonormal basis E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2
-    (a < b) of the inner product Re tr(G H)."""
-    off = math.sqrt(2.0) * g[..., _IU[0], _IU[1]]
-    return np.concatenate([g[..., _DIAG, _DIAG].real, off.real, off.imag], axis=-1)
+    """Coordinates (..., 16) in _BASIS of the Hermitian part of matrices
+    (..., 4, 4): Re tr(G E_j), which equals Re tr(G^dagger E_j)."""
+    return (g.reshape(g.shape[:-2] + (16,)) @ _BASIS.conj().T).real
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
     """Hermitian matrices (..., 4, 4) with coordinates h (..., 16); inverse of _coords."""
-    out = np.zeros(h.shape[:-1] + (4, 4), dtype=complex)
-    out[..., _DIAG, _DIAG] = h[..., :4]
-    off = (h[..., 4:10] + 1j * h[..., 10:]) / math.sqrt(2.0)
-    out[..., _IU[0], _IU[1]] = off
-    out[..., _IU[1], _IU[0]] = off.conj()
-    return out
+    return (h @ _BASIS).reshape(h.shape[:-1] + (4, 4))
 
 
 def _rotate(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """exp(iH) U for stacks of unitaries and generator coordinates h."""
     w, vmat = np.linalg.eigh(_hermitian(h))
-    return (vmat * np.exp(1j * w)[..., None, :]) @ vmat.conj().swapaxes(-1, -2) @ u
+    return (vmat * np.exp(1j * w)[..., None, :]) @ (vmat.conj().swapaxes(-1, -2) @ u)
 
 
 def _orbit_objective(u: np.ndarray, q: np.ndarray):
@@ -176,17 +184,17 @@ def _orbit_objective(u: np.ndarray, q: np.ndarray):
     Y x Y (_wootters_matrix). For a simple mu_k with singular vectors
     a_k and v_k, d mu_k = Re(a_k^dagger dB v_k); with w = U sqrt(q) conj(a_k)
     and x = U sqrt(q) v_k this is Re tr(dH K_k), K_k = i (w (Mx)^T + x (Mw)^T).
-    The gradient is the Hermitian part of the signed sum of the K_k.
+    The gradient is the Hermitian part of the signed sum of the K_k. With
+    S the signs, that sum is i [w|x] S [Mx|Mw]^T: one product forms [w|x],
+    one more the sum, and _coords keeps its Hermitian part.
     """
     a, mu, vh = np.linalg.svd(_wootters_matrix(u, q))
     m = mu.T
     f = (m[0] - m[1] - m[2] - m[3]).T
     r = np.sqrt(q)[..., :, None]
-    w = u @ (r * a.conj())
-    x = u @ (r * vh.conj().swapaxes(-1, -2))
-    k = 1j * ((w * _MU_SIGN) @ (_YY_ROW_SIGN * x[..., ::-1, :]).swapaxes(-1, -2)
-              + (x * _MU_SIGN) @ (_YY_ROW_SIGN * w[..., ::-1, :]).swapaxes(-1, -2))
-    return f, _coords((k + k.conj().swapaxes(-1, -2)) / 2.0)
+    wx = u @ (r * np.concatenate([a.conj(), vh.conj().swapaxes(-1, -2)], axis=-1))
+    mwx = (_YY_ROW_SIGN * wx[..., ::-1, :])[..., _HALF_SWAP]
+    return f, _coords(1j * ((wx * _MU_SIGN2) @ mwx.swapaxes(-1, -2)))
 
 
 def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
@@ -199,16 +207,20 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     _orbit_objective by BFGS in the 16 coordinates of the generator H of
     U <- exp(iH) U. A step is the quasi-Newton direction, scaled to a norm
     of at most _MAX_STEP and halved up to _HALVINGS times until the Armijo
-    condition holds. The 16 x 16 inverse Hessian is updated only when
-    s^T y > _CURVATURE, and reset to the identity when its direction is
-    not an ascent. A chain stops after ``iters`` steps, at a gradient norm
-    below _GRAD_TOL, or when its line search fails.
+    condition holds. The line search fails sooner, at a rejected trial
+    whose predicted rise t * slope is below F's resolution _F_RESOLUTION *
+    max(1, |F|): a later Armijo pass could only be rounding noise. The
+    16 x 16 inverse Hessian is updated only when s^T y > _CURVATURE, and
+    reset to the identity when its direction is not an ascent. A chain
+    stops after ``iters`` steps, at a gradient norm below _GRAD_TOL, or
+    when its line search fails.
 
     Chain 0 of each spectrum starts at the identity, the others at Haar
     unitaries drawn in turn from its generator. All P x restarts chains
     run as one stack, and every operation acts on each chain alone, so a
     spectrum's values equal those of a call with it alone. The value is
-    v of _concurrence_eig at the chain's last U, which is its witness.
+    v of _concurrence_eig at the chain's last U, which is its witness, so
+    it errs low up to rounding: it is E_f of an orbit point.
     """
     points = len(q)
     chains = points * restarts
@@ -219,7 +231,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
             u[i * restarts + r] = haar_unitary(4, rng)
     q = np.repeat(q, restarts, axis=0)
     f, g = _orbit_objective(u, q)
-    hinv = np.tile(np.eye(16), (chains, 1, 1))
+    hinv = np.tile(_EYE16, (chains, 1, 1))
     d = np.zeros((chains, 16))
     slope, t = np.zeros(chains), np.zeros(chains)
     halvings, steps = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)
@@ -227,16 +239,16 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     # chain's line search does not wait for the others'.
     fresh, live = np.arange(chains), np.arange(0)
     while True:
-        fresh = fresh[(steps[fresh] < iters) & (np.sqrt(np.sum(g[fresh] ** 2, axis=1)) >= _GRAD_TOL)]
+        fresh = fresh[(steps[fresh] < iters) & (np.sqrt((g[fresh] ** 2).sum(axis=1)) >= _GRAD_TOL)]
         if fresh.size:
             df = (hinv[fresh] @ g[fresh][:, :, None])[:, :, 0]
-            sf = np.sum(g[fresh] * df, axis=1)
+            sf = (g[fresh] * df).sum(axis=1)
             reset = sf <= 0.0
-            hinv[fresh[reset]] = np.eye(16)
+            hinv[fresh[reset]] = _EYE16
             df[reset] = g[fresh[reset]]
-            sf[reset] = np.sum(df[reset] ** 2, axis=1)
+            sf[reset] = (df[reset] ** 2).sum(axis=1)
             d[fresh], slope[fresh], halvings[fresh] = df, sf, 0
-            t[fresh] = np.minimum(1.0, _MAX_STEP / np.sqrt(np.sum(df * df, axis=1)))
+            t[fresh] = np.minimum(1.0, _MAX_STEP / np.sqrt((df * df).sum(axis=1)))
             live = np.concatenate([live, fresh])
         if live.size == 0:
             break
@@ -246,18 +258,20 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
         ok = f_try >= f[live] + _ARMIJO * t[live] * slope[live]
         moved = live[ok]
         s, y = step[ok], g[moved] - g_try[ok]  # y: the change of the gradient of -F
-        sy = np.sum(s * y, axis=1)
+        sy = (s * y).sum(axis=1)
         upd = sy > _CURVATURE
         if upd.any():
             c, s, y, rho = moved[upd], s[upd], y[upd], 1.0 / sy[upd, None, None]
-            e = np.eye(16) - rho * s[:, :, None] * y[:, None, :]
+            e = _EYE16 - rho * s[:, :, None] * y[:, None, :]
             hinv[c] = e @ hinv[c] @ e.swapaxes(-1, -2) + rho * s[:, :, None] * s[:, None, :]
         u[moved], f[moved], g[moved] = u_try[ok], f_try[ok], g_try[ok]
         steps[moved] += 1
         live = live[~ok]
+        # below F's resolution a later Armijo pass would be rounding noise
+        resolved = t[live] * slope[live] >= _F_RESOLUTION * np.maximum(1.0, np.abs(f[live]))
         halvings[live] += 1
         t[live] *= 0.5
-        live = live[halvings[live] <= _HALVINGS]
+        live = live[resolved & (halvings[live] <= _HALVINGS)]
         fresh = moved
     value = bounds.v(_concurrence_eig(u, q)).reshape(points, restarts)
     best = np.argmax(value, axis=1)
@@ -276,13 +290,15 @@ def max_ef_over_spectrum_numeric(
     ``restarts`` chains, the first from the identity and the others from
     Haar unitaries drawn from ``rng``, each climb mu1 - mu2 - mu3 - mu4 of
     the orbit point U diag(p) U^dagger by BFGS with an analytic gradient
-    and Armijo backtracking, for at most ``iters`` steps. Independent of
-    the closed-form cap and of MAX_EF_BASIS, it serves as their oracle. The
-    value is E_f at the best chain's last unitary U, which is its witness
-    (see _max_ef_orbit), evaluated to about 1e-15. So it errs low up to
-    rounding: it does not exceed ln 2 - s22_ef(p) by more than that. It
-    falls short where a chain stalls, as at a kink where singular values
-    coincide.
+    and Armijo backtracking, for at most ``iters`` steps. A chain ends
+    when its line search fails: after 40 halvings, or sooner, once a
+    rejected trial's predicted rise is below F's rounding resolution
+    1e-15 * max(1, |F|). Independent of the closed-form cap and of
+    MAX_EF_BASIS, it serves as their oracle. The value is E_f at the best
+    chain's last unitary U, which is its witness (see _max_ef_orbit),
+    evaluated to about 1e-15. So it errs low up to rounding: it does not
+    exceed ln 2 - s22_ef(p) by more than that. It falls short where a
+    chain stalls, as at a kink where singular values coincide.
     """
     q = pad_spectrum(p, 4)
     if restarts < 1:

@@ -205,6 +205,17 @@ class TestExitCodes:
         assert "verification failed" in capsys.readouterr().err
 
 
+class TestParser:
+    def test_built_once_and_unchanged_by_parsing(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = vars(parser.parse_args(["verify"]))
+        parser.parse_args(["verify", "--seed", "5", "--kind", "bures", "--full"])
+        with pytest.raises(SystemExit):
+            parser.parse_args(["verify", "--grid", "x"])
+        assert vars(parser.parse_args(["verify"])) == first
+
+
 class TestCCBound:
     def test_default_grid_matches_closed_form(self, tmp_path):
         text = run_to_text(tmp_path, "cc.csv", ["ccbound"])
@@ -227,7 +238,7 @@ class TestTightness:
 
     @pytest.mark.parametrize("kind", ["hellinger", "bures"])
     def test_default_grid_is_tight_to_rounding(self, tmp_path, kind):
-        text = run_to_text(tmp_path, "t.csv", ["tightness", "--kind", kind, "--tolerance", "1e-9"])
+        text = run_to_text(tmp_path, "t.csv", ["tightness", "--kind", kind, "--tolerance", "1e-12"])
         rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
         assert len(rows) == 20
         assert all(float(row["ef_numeric"]) <= float(row["bound"]) + 1e-12 for row in rows)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entcorr import measures
 from entcorr.bounds import LN2, beta_deform, v
 from entcorr.measures import (
     MAX_EF_BASIS,
@@ -287,6 +288,33 @@ class TestMaxEfNumeric:
             misses.append(LN2 - s22_ef(p) - value)
         assert min(misses) >= -1e-13  # errs low, up to rounding
         assert max(misses) <= 1e-4
+
+    def test_rank3_stall_is_the_only_miss(self):
+        # One spectrum, i = 18 (p ~ (0.5349, 0.2342, 0.2310)), creeps toward
+        # the kink of F at mu3 = mu4 = 0 and misses the cap by 1.98e-6
+        # after 300 steps; every other one comes within 1e-10 of it.
+        rng = worker_rng(7)
+        spectra = [random_spectrum(1 + i % 4, rng) for i in range(86)]
+        q = np.array([pad_spectrum(p, 4) for p in spectra])
+        values, _ = _max_ef_orbit(q, 8, 300, [worker_rng(8, i) for i in range(86)])
+        misses = np.array([LN2 - s22_ef(p) for p in spectra]) - values
+        assert misses.min() >= -1e-13  # errs low, up to rounding
+        assert misses[18] <= 2e-6
+        assert np.delete(misses, 18).max() <= 1e-10
+
+    def test_kernel_calls_on_a_tightness_point(self, monkeypatch):
+        # the middle point of tightness --grid 3 at seed 0: 196 calls while
+        # a line search ran to its 40 halvings, 151 with the stop at F's
+        # rounding resolution
+        kernel, calls = measures._orbit_objective, []
+
+        def counted(u, q):
+            calls.append(len(u))
+            return kernel(u, q)
+
+        monkeypatch.setattr(measures, "_orbit_objective", counted)
+        _max_ef_orbit(np.array([[0.8125, 0.1875, 0.0, 0.0]]), 8, 300, [worker_rng(0, 2)])
+        assert len(calls) == 151
 
     def test_no_steps_evaluates_the_starts(self):
         p = random_spectrum(4, worker_rng(29))
