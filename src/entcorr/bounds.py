@@ -208,7 +208,7 @@ def beta_deform(p, beta: float) -> np.ndarray:
     """
     p = validate_spectrum(p)
     beta = float(beta)
-    if beta < 1.0 - 1e-12:
+    if not beta >= 1.0 - 1e-12:  # NaN fails too
         raise DomainError("beta must be >= 1")
     q = _beta_deform_stack(p, np.array([max(beta, 1.0)]))[0]
     return q[q > 0.0]

@@ -34,11 +34,13 @@ from .bounds import (
     zeta_ef,
 )
 from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
-from .measures import _concurrence, _max_ef_orbit, entanglement_of_formation, max_ef_state
+from .measures import (_ORBIT_ITERS, _ORBIT_RESTARTS, _concurrence, _max_ef_orbit,
+                       entanglement_of_formation, max_ef_state)
 from .qcore import (
     DomainError,
+    _partial_trace,
+    _probabilities,
     pad_spectrum,
-    partial_trace,
     purify,
     strictly_correlated_cc,
     validate_density_stack,
@@ -197,10 +199,9 @@ def _verify_chunk(args) -> list[tuple]:
         flat = z.reshape(len(z), 1, -1)
         sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
         m = z / np.sqrt(sq)
-        lam = np.linalg.svd(m, compute_uv=False) ** 2
-        kept = lam > 1e-12
-        lam = np.where(kept, lam, 0.0)
-        lam = validate_spectrum_stack(lam / lam.sum(axis=-1, keepdims=True), kept)
+        lam = _probabilities(np.linalg.svd(m, compute_uv=False) ** 2)
+        kept = lam > 0.0
+        lam = validate_spectrum_stack(lam, kept)
         x = np.minimum(KINDS[kind].f(lam), xmax)
         rho_a = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
         e = v(_concurrence(rho_a))
@@ -259,8 +260,8 @@ def run_verify(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_tightness(cfg: RunConfig) -> None:
-    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else 8
-    iters = cfg.opt_iters if cfg.opt_iters is not None else 300
+    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else _ORBIT_RESTARTS
+    iters = cfg.opt_iters if cfg.opt_iters is not None else _ORBIT_ITERS
     xs = [float(x) for x in np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)]
     spectra = [optimal_slice_spectrum(cfg.kind, x) for x in xs]
     # Each grid point draws the Haar starts of its orbit ascents from rng
@@ -316,7 +317,7 @@ def run_ccbound(cfg: RunConfig) -> None:
     for x, zeta, p in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist(), spectra):
         rho = strictly_correlated_cc(p[p > 0.0], 4, 4)
         c_num = c_distance_numeric(rho, (4, 4), cfg.kind)
-        e_a = entanglement_of_formation(partial_trace(rho, (4, 4), keep=1))
+        e_a = entanglement_of_formation(_partial_trace(rho, 4, 4, 1))
         rows.append([x, zeta, c_num, c_num - x, e_a])
         worst_c = max(worst_c, abs(c_num - x))
         worst_e = max(worst_e, e_a - zeta)

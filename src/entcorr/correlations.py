@@ -19,7 +19,6 @@ returns the product state it attains.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -27,16 +26,18 @@ from enum import Enum
 import numpy as np
 
 from .qcore import (
-    TOL_SUPPORT,
     DomainError,
-    matrix_sqrt_psd,
-    partial_trace,
+    _check_split,
+    _distance,
+    _entropy,
+    _on_support,
+    _partial_trace,
+    _probabilities,
+    _sqrt_psd,
     random_density,
     schmidt,
-    split_dims,
     validate_density_matrix,
     validate_spectrum,
-    von_neumann_entropy,
     worker_rng,
 )
 
@@ -88,16 +89,15 @@ def kind_of(kind) -> Kind:
 # ---------------------------------------------------------------------------
 
 def _f_bures(p: np.ndarray) -> np.ndarray:
-    p1 = p.T[0].T  # a numpy scalar for one spectrum, as in measures._concurrence
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.sqrt(p1))))
+    return _distance(np.sqrt(p.T[0].T))  # a numpy scalar for one spectrum, as in _concurrence
 
 
 def _f_hellinger(p: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - p.T[0].T)))
+    return _distance(p.T[0].T)
 
 
 def _f_mutual_information(p: np.ndarray) -> np.ndarray:
-    return -2.0 * (p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+    return 2.0 * _entropy(p)
 
 
 def f_db(p) -> float:
@@ -145,18 +145,16 @@ def c_max(kind, d: int) -> float:
 
 def mutual_information(rho, split) -> float:
     """S(rho_A) + S(rho_B) - S(rho) across the given A:B cut, in nats."""
-    d1, d2 = split_dims(split)
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != d1 * d2:
-        raise DomainError(f"state dimension {rho.shape[0]} does not match split {(d1, d2)}")
-    s_a = von_neumann_entropy(partial_trace(rho, (d1, d2), keep=1))
-    s_b = von_neumann_entropy(partial_trace(rho, (d1, d2), keep=2))
-    return float(max(0.0, s_a + s_b - von_neumann_entropy(rho)))
+    d1, d2 = _check_split(rho.shape[0], split)
+    s_a, s_b, s_ab = (_entropy(_probabilities(np.linalg.eigvalsh(m)[::-1])) for m in (
+        _partial_trace(rho, d1, d2, 1), _partial_trace(rho, d1, d2, 2), rho))
+    return float(max(0.0, s_a + s_b - s_ab))
 
 
 def c_on_pure(psi, split, kind) -> float:
     """Exact correlation of a pure state: f at its Schmidt spectrum."""
-    return f_value(kind, schmidt(psi, split))
+    return float(kind_of(kind).f(schmidt(psi, split)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +182,14 @@ def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int, *_):
     resolves the top vector only to about 1e-16 / gap, and the witness's
     distance can miss the value by up to 1.55e-8.
     """
-    r = matrix_sqrt_psd(rho).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    r = _sqrt_psd(rho).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
     r = r.reshape(d_a * d_a, d_b * d_b)
-    _, s, vh = np.linalg.svd(r)
+    _, s, vh = np.linalg.svd(r, full_matrices=False)
     top = vh[s >= s[0] * (1.0 - 1e-12)]  # rounding splits a degenerate s1
     yt = top.conj().T @ (top @ np.eye(d_b).ravel())
     x = (r @ yt).reshape(d_a, d_a)
     sigma_a, sigma_b = (_square_unit(m) for m in (x, yt.reshape(d_b, d_b).T))
     return _distance(s[0]), sigma_a, sigma_b
-
-
-def _distance(affinity: float) -> float:
-    """sqrt(2 - 2 affinity): the Bures or Hellinger distance of an affinity."""
-    return float(math.sqrt(max(0.0, 2.0 - 2.0 * affinity)))
 
 
 def _square_unit(m: np.ndarray) -> np.ndarray:
@@ -212,7 +205,7 @@ def _bures_value_grad(sqrt_rho: np.ndarray, sigma: np.ndarray):
     inverse root taken on the support), for each sigma of a stack shaped
     (n, d, d); one batched eigh."""
     w, vmat = np.linalg.eigh(sqrt_rho @ sigma @ sqrt_rho)
-    root = np.sqrt(np.where(w > TOL_SUPPORT * w[:, -1:], w, 0.0))
+    root = np.sqrt(_on_support(w))
     inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
     half = sqrt_rho @ vmat
     return root.sum(axis=-1), (half * inv_root[:, None, :]) @ half.conj().swapaxes(-1, -2)
@@ -320,13 +313,13 @@ def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
         return _distance(s[0]), sigma_a, sigma_b
-    starts_a = [partial_trace(rho, (d_a, d_b), keep=1), np.eye(d_a) / d_a]
-    starts_b = [partial_trace(rho, (d_a, d_b), keep=2), np.eye(d_b) / d_b]
+    starts_a = [_partial_trace(rho, d_a, d_b, 1), np.eye(d_a) / d_a]
+    starts_b = [_partial_trace(rho, d_a, d_b, 2), np.eye(d_b) / d_b]
     for _ in range(2, restarts):
         starts_a.append(random_density(d_a, d_a, rng))
         starts_b.append(random_density(d_b, d_b, rng))
     sigma_a, sigma_b, aff = _polish_bures_mixed(
-        matrix_sqrt_psd(rho),
+        _sqrt_psd(rho),
         np.array(starts_a[:restarts], dtype=complex),
         np.array(starts_b[:restarts], dtype=complex),
     )
@@ -362,17 +355,14 @@ def c_distance_numeric(
     row = kind_of(kind)
     if row.closest is None:
         raise DomainError(f"kind {row.name!r} is not a distance to the product states")
-    d_a, d_b = split_dims(split)
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != d_a * d_b:
-        raise DomainError(f"state dimension {rho.shape[0]} does not match split {(d_a, d_b)}")
+    d_a, d_b = _check_split(rho.shape[0], split)
     if d_a * d_b > 64:
         raise DomainError("supported up to total dimension 64")
     if restarts < 1:
         raise DomainError("need restarts >= 1")
-    if rng is None:
-        rng = worker_rng(0, 0)
-    return row.closest(rho, d_a, d_b, restarts, rng)[0]
+    rng = worker_rng(0, 0) if rng is None else rng
+    return float(row.closest(rho, d_a, d_b, restarts, rng)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +372,7 @@ def c_distance_numeric(
 KINDS = {
     row.name: row
     for row in (
-        Kind("mutual_information", _f_mutual_information,
-             f_tilde=lambda p: _f_mutual_information(p) / 2.0),
+        Kind("mutual_information", _f_mutual_information, f_tilde=_entropy),
         Kind("bures", _f_bures, y=lambda x: x * x - x ** 4 / 4.0, closest=_bures_closest),
         Kind("hellinger", _f_hellinger, f_tilde=_f_bures, y=lambda x: x * x / 2.0,
              zeta="bures", closest=_hellinger_closest),

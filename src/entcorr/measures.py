@@ -5,13 +5,13 @@ concurrence; higher-dimensional internal systems are covered by the
 negativity only. The concurrence has one kernel, which takes a state in
 eigenform U diag(q) U^dagger: Wootters' mu_i are the singular values of
 sqrt(q) U^T (Y x Y) U sqrt(q) (PRL 80, 2245, 1998). A density matrix
-reaches it through eigh, with eigenvalues below TOL_SUPPORT times the
-largest counted as zero, as in qcore.matrix_sqrt_psd. The spectral cap s22
-(kept in bounds, next to v) gives the largest entanglement of formation
-compatible with a given eigenvalue vector. An explicit state attains it,
-and an independent, deterministic oracle checks it: a quasi-Newton ascent
-of mu1 - mu2 - mu3 - mu4 over the unitary orbit of the spectrum, with an
-analytic gradient, which errs low and returns its unitary as a witness.
+reaches it through eigh, with its eigenvalues cut by qcore._on_support.
+The spectral cap s22 (kept in bounds, next to v) gives the largest
+entanglement of formation compatible with a given eigenvalue vector. An
+explicit state attains it, and an independent, deterministic oracle
+checks it: a quasi-Newton ascent of mu1 - mu2 - mu3 - mu4 over the
+unitary orbit of the spectrum, with an analytic gradient, which errs low
+and returns its unitary as a witness.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 from . import bounds
 from .bounds import _max_concurrence, _s22
 from .qcore import (
-    TOL_SUPPORT,
     DomainError,
+    _check_split,
+    _on_support,
     haar_unitary,
     pad_spectrum,
-    split_dims,
     validate_density_matrix,
     validate_spectrum,
     worker_rng,
@@ -72,7 +72,7 @@ def _concurrence_eig(u: np.ndarray, q: np.ndarray) -> np.ndarray:
 def _concurrence(rho: np.ndarray) -> np.ndarray:
     """Concurrence of a stack of 4x4 states, shaped (..., 4, 4); unchecked."""
     w, u = np.linalg.eigh(rho)
-    return _concurrence_eig(u, np.where(w > TOL_SUPPORT * w[..., -1:], w, 0.0))
+    return _concurrence_eig(u, _on_support(w))
 
 
 def concurrence(rho) -> float:
@@ -97,10 +97,8 @@ def entanglement_of_formation(rho) -> float:
 
 def negativity(rho, split) -> float:
     """(||rho^T1||_1 - 1) / 2 via the partial transpose on factor 1."""
-    d1, d2 = split_dims(split)
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != d1 * d2:
-        raise DomainError(f"state dimension {rho.shape[0]} does not match split {(d1, d2)}")
+    d1, d2 = _check_split(rho.shape[0], split)
     pt = rho.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
     w = np.linalg.eigvalsh(pt)
     return float((np.abs(w).sum() - 1.0) / 2.0)
@@ -148,9 +146,11 @@ _BASIS[range(10, 16), _IU[1], _IU[0]] = -1j / math.sqrt(2.0)
 _BASIS = _BASIS.reshape(16, 16)
 _EYE16 = np.eye(16)
 
-# Quasi-Newton ascent: Armijo constant, halvings per line search, largest
-# step norm, curvature needed for an update, the stopping gradient, and the
-# relative resolution of F below which a rise is rounding noise.
+# Quasi-Newton ascent: the default budget of chains per spectrum and steps
+# per chain, Armijo constant, halvings per line search, largest step norm,
+# curvature needed for an update, the stopping gradient, and the relative
+# resolution of F below which a rise is rounding noise.
+_ORBIT_RESTARTS, _ORBIT_ITERS = 8, 300
 _ARMIJO = 1e-4
 _HALVINGS = 40
 _MAX_STEP = 1.0
@@ -281,8 +281,8 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
 
 def max_ef_over_spectrum_numeric(
     p,
-    restarts: int = 8,
-    iters: int = 300,
+    restarts: int = _ORBIT_RESTARTS,
+    iters: int = _ORBIT_ITERS,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Best E_f found over the unitary orbit of diag(p) by quasi-Newton ascent.
@@ -305,8 +305,7 @@ def max_ef_over_spectrum_numeric(
         raise DomainError("need restarts >= 1")
     if iters < 0:
         raise DomainError("need iters >= 0")
-    if rng is None:
-        rng = worker_rng(0, 0)
+    rng = worker_rng(0, 0) if rng is None else rng
     return float(_max_ef_orbit(q[None], restarts, iters, [rng])[0][0])
 
 

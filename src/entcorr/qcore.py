@@ -9,6 +9,12 @@ Conventions used across the package:
 - Bipartite product bases are ordered with the factor-1 index major:
   basis index = i1 * d2 + i2.
 - All entropies are in nats, with the convention 0 * ln 0 = 0.
+
+Fronts and kernels: a public function validates its input once, then calls
+unchecked kernels on stacks (..., d) or (..., d, d), one per rule:
+_on_support, _probabilities, _entropy, _distance, _partial_trace and
+_sqrt_psd. Package code holding checked data calls the kernels, and no
+other module names TOL_SUPPORT or TOL_ZERO.
 """
 
 from __future__ import annotations
@@ -25,8 +31,6 @@ TOL_TRACE = 1e-9
 TOL_NORM = 1e-9
 # Below this cutoff an eigenvalue counts as zero for spectrum extraction.
 TOL_ZERO = 1e-12
-# Round-trip checks (purify -> partial trace and the like).
-TOL_NUM = 1e-8
 # Relative to the largest eigenvalue, the rounding level of a PSD product
 # such as sqrt(rho) sigma sqrt(rho): below it an eigenvalue counts as zero,
 # so its square root does not add noise to a root fidelity.
@@ -76,6 +80,13 @@ def split_dims(split) -> tuple[int, int]:
     return d1, d2
 
 
+def _check_split(dim: int, split) -> tuple[int, int]:
+    d1, d2 = split_dims(split)
+    if dim != d1 * d2:
+        raise DomainError(f"state dimension {dim} does not match split {(d1, d2)}")
+    return d1, d2
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -87,20 +98,20 @@ def _one_matrix(m) -> np.ndarray:
     return m
 
 
-def _hermitian_stack(m, tol: float = TOL_HERM) -> np.ndarray:
+def _hermitian_stack(m) -> np.ndarray:
     """Stack form of validate_hermitian: every matrix of an (..., d, d) array."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > tol:
+    if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL_HERM:
         raise DomainError("matrix is not Hermitian within tolerance")
     return m
 
 
-def validate_hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
-    return _hermitian_stack(_one_matrix(m), tol)
+def validate_hermitian(m) -> np.ndarray:
+    return _hermitian_stack(_one_matrix(m))
 
 
 def validate_density_matrix(rho) -> np.ndarray:
@@ -142,6 +153,7 @@ def validate_spectrum_stack(p, kept=None) -> np.ndarray:
 
     ``kept`` marks the components of each row, a prefix of it; the rest is
     padding that the checks ignore. By default every entry is a component.
+    Every check is written so that a NaN component fails it.
     """
     p = np.asarray(p, dtype=float)
     if p.shape[-1] < 1 or (kept is not None and not kept[..., 0].all()):
@@ -150,13 +162,13 @@ def validate_spectrum_stack(p, kept=None) -> np.ndarray:
         kept = kept_after = True
     else:
         kept_after = kept[..., 1:]
-    if ((p <= 0) & kept).any():
+    if (~(p > 0) & kept).any():
         raise DomainError("spectrum components must be strictly positive")
-    if ((np.diff(p) > 1e-12) & kept_after).any():
+    if (~(np.diff(p) <= 1e-12) & kept_after).any():
         raise DomainError("spectrum components must be in decreasing order")
     sums = p.sum(axis=-1, where=kept)
     dev = abs(sums - 1.0)
-    if (dev > TOL_TRACE).any():
+    if not (dev <= TOL_TRACE).all():
         raise DomainError(f"spectrum sums to {np.ravel(sums)[np.argmax(dev)]}, expected 1")
     return p
 
@@ -166,14 +178,45 @@ def pad_spectrum(p, size: int) -> np.ndarray:
     p = validate_spectrum(p)
     if p.size > size:
         raise DomainError(f"spectrum has {p.size} components, at most {size} allowed")
-    out = np.zeros(size)
-    out[: p.size] = p
-    return out
+    return np.concatenate([p, np.zeros(size - p.size)])
 
 
 # ---------------------------------------------------------------------------
-# Spectral primitives
+# Kernels (unchecked, on stacks) and spectral primitives
 # ---------------------------------------------------------------------------
+
+def _on_support(w: np.ndarray) -> np.ndarray:
+    """Ascending PSD eigenvalues (..., d), those below TOL_SUPPORT times the largest set to 0."""
+    return np.where(w > TOL_SUPPORT * w[..., -1:], w, 0.0)
+
+
+def _probabilities(w: np.ndarray) -> np.ndarray:
+    """Rows (..., d) with entries at most TOL_ZERO set to 0, then renormalized."""
+    w = np.where(w > TOL_ZERO, w, 0.0)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """-sum p ln p of rows (..., d) padded with zeros, with 0 ln 0 = 0."""
+    return -(p * np.log(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+
+
+def _distance(a):
+    """sqrt(2 - 2a) of affinities a, the Bures or Hellinger distance; 0 for a >= 1."""
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * a))
+
+
+def _partial_trace(rho: np.ndarray, d1: int, d2: int, keep: int) -> np.ndarray:
+    """tr_2 (keep 1) or tr_1 (keep 2) of operators (..., d1 d2, d1 d2)."""
+    r4 = rho.reshape(rho.shape[:-2] + (d1, d2, d1, d2))
+    return np.einsum("...abcb->...ac" if keep == 1 else "...abac->...bc", r4)
+
+
+def _sqrt_psd(m: np.ndarray) -> np.ndarray:
+    """Principal square roots of PSD matrices (..., d, d), eigenvalues cut by _on_support."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(_on_support(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a Hermitian matrix, eigenvalues descending.
@@ -182,31 +225,23 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     orthonormal. Degenerate eigenvalues come with an arbitrary orthonormal
     basis of their eigenspace.
     """
-    m = validate_hermitian(m)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(validate_hermitian(m))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
 def spectrum(rho) -> np.ndarray:
     """Nonzero eigenvalues of a state, decreasing, renormalized to sum 1."""
-    rho = validate_density_matrix(rho)
-    w = np.linalg.eigvalsh(rho)[::-1]
-    w = w[w > TOL_ZERO]
-    return w / w.sum()
+    p = _probabilities(np.linalg.eigvalsh(validate_density_matrix(rho))[::-1])
+    return p[p > 0.0]
 
 
 def partial_trace(rho, split, keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite state; ``keep`` is 1 or 2."""
-    d1, d2 = split_dims(split)
     rho = validate_density_matrix(rho)
-    if rho.shape[0] != d1 * d2:
-        raise DomainError(f"state dimension {rho.shape[0]} does not match split {(d1, d2)}")
-    r4 = rho.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        return np.einsum("abcb->ac", r4)
-    if keep == 2:
-        return np.einsum("abac->bc", r4)
-    raise DomainError(f"keep must be 1 or 2, got {keep}")
+    d1, d2 = _check_split(rho.shape[0], split)
+    if keep not in (1, 2):
+        raise DomainError(f"keep must be 1 or 2, got {keep}")
+    return _partial_trace(rho, d1, d2, keep)
 
 
 def purify(rho) -> np.ndarray:
@@ -216,25 +251,18 @@ def purify(rho) -> np.ndarray:
     zero cutoff), so the Schmidt coefficients of the result are exactly the
     square roots of spectrum(rho).
     """
-    rho = validate_density_matrix(rho)
-    w, v = np.linalg.eigh(rho)
-    keep = w > TOL_ZERO
-    w, v = w[keep], v[:, keep]
-    w = w / w.sum()
-    psi = (v * np.sqrt(w)).ravel()  # index i*rank + m, factor-1 major
+    w, v = np.linalg.eigh(validate_density_matrix(rho))
+    p = _probabilities(w)
+    psi = (v * np.sqrt(p))[:, p > 0.0].ravel()  # index i*rank + m, factor-1 major
     return psi / np.linalg.norm(psi)
 
 
 def schmidt(psi, split) -> np.ndarray:
     """Squared Schmidt coefficients of a bipartite pure state (decreasing)."""
-    d1, d2 = split_dims(split)
     psi = validate_pure_state(psi)
-    if psi.size != d1 * d2:
-        raise DomainError(f"state dimension {psi.size} does not match split {(d1, d2)}")
-    s = np.linalg.svd(psi.reshape(d1, d2), compute_uv=False)
-    p = s * s
-    p = p[p > TOL_ZERO]
-    return p / p.sum()
+    d1, d2 = _check_split(psi.size, split)
+    p = _probabilities(np.linalg.svd(psi.reshape(d1, d2), compute_uv=False) ** 2)
+    return p[p > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +270,11 @@ def schmidt(psi, split) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shannon_entropy(p) -> float:
-    p = validate_spectrum(p)
-    return float(-(p * np.log(p)).sum())
+    return float(_entropy(validate_spectrum(p)))
 
 
 def von_neumann_entropy(rho) -> float:
-    return shannon_entropy(spectrum(rho))
+    return float(_entropy(spectrum(rho)))
 
 
 def purity(p) -> float:
@@ -257,13 +284,9 @@ def purity(p) -> float:
 
 def majorizes(p, q, atol: float = 1e-12) -> bool:
     """True iff every partial sum of p dominates the matching one of q."""
-    p = validate_spectrum(p)
-    q = validate_spectrum(q)
+    p, q = validate_spectrum(p), validate_spectrum(q)
     n = max(p.size, q.size)
-    pp = np.zeros(n)
-    pp[: p.size] = p
-    qq = np.zeros(n)
-    qq[: q.size] = q
+    pp, qq = (np.concatenate([x, np.zeros(n - x.size)]) for x in (p, q))
     return bool(np.all(np.cumsum(pp) >= np.cumsum(qq) - atol))
 
 
@@ -272,35 +295,26 @@ def majorizes(p, q, atol: float = 1e-12) -> bool:
 # ---------------------------------------------------------------------------
 
 def matrix_sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a PSD Hermitian matrix.
-
-    Eigenvalues below TOL_SUPPORT times the largest count as zero: they are
-    rounding noise of a rank-deficient matrix, and their square roots would
-    not be.
-    """
+    """Principal square root of a PSD Hermitian matrix. Eigenvalues below
+    TOL_SUPPORT times the largest are rounding noise and count as zero."""
     m = validate_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    if w[0] < -TOL_PSD:
-        raise DomainError(f"negative eigenvalue {w[0]} beyond tolerance")
-    return (v * np.sqrt(np.where(w > TOL_SUPPORT * w[-1], w, 0.0))) @ v.conj().T
+    low = np.linalg.eigvalsh(m)[0]
+    if low < -TOL_PSD:
+        raise DomainError(f"negative eigenvalue {low} beyond tolerance")
+    return _sqrt_psd(m)
 
 
 def bures_distance(rho, sigma) -> float:
     """sqrt(2 - 2 tr sqrt(sqrt(rho) sigma sqrt(rho))), in [0, sqrt(2)]."""
-    rho = validate_density_matrix(rho)
-    sigma = validate_density_matrix(sigma)
-    a = matrix_sqrt_psd(rho)
-    w = np.linalg.eigvalsh(a @ sigma @ a)
-    root_fid = np.sqrt(w[w > TOL_SUPPORT * w[-1]]).sum()
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * root_fid)))
+    rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
+    a = _sqrt_psd(rho)
+    return float(_distance(np.sqrt(_on_support(np.linalg.eigvalsh(a @ sigma @ a))).sum()))
 
 
 def hellinger_distance(rho, sigma) -> float:
     """sqrt(2 - 2 tr(sqrt(rho) sqrt(sigma))), in [0, sqrt(2)]."""
-    rho = validate_density_matrix(rho)
-    sigma = validate_density_matrix(sigma)
-    aff = np.trace(matrix_sqrt_psd(rho) @ matrix_sqrt_psd(sigma)).real
-    return float(np.sqrt(max(0.0, 2.0 - 2.0 * aff)))
+    rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
+    return float(_distance(np.trace(_sqrt_psd(rho) @ _sqrt_psd(sigma)).real))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +391,7 @@ def cc_state(joint, d_a: int, d_b: int) -> np.ndarray:
     joint = np.asarray(joint, dtype=float)
     if joint.shape != (d_a, d_b):
         raise DomainError(f"joint table shape {joint.shape} does not match ({d_a}, {d_b})")
-    if np.any(joint < -1e-15) or abs(joint.sum() - 1.0) > TOL_TRACE:
+    if not (np.all(joint >= -1e-15) and abs(joint.sum() - 1.0) <= TOL_TRACE):
         raise DomainError("joint table must be nonnegative and sum to 1")
     return np.diag(np.clip(joint, 0.0, None).ravel()).astype(complex)
 
@@ -389,7 +403,7 @@ def strictly_correlated_cc(p, d_a: int, d_b: int) -> np.ndarray:
         raise CapacityError(f"{p.size} outcomes do not fit in ({d_a}, {d_b})")
     joint = np.zeros((d_a, d_b))
     joint[np.arange(p.size), np.arange(p.size)] = p
-    return cc_state(joint, d_a, d_b)
+    return np.diag(joint.ravel()).astype(complex)
 
 
 def mems_state(p, split) -> np.ndarray:
@@ -405,11 +419,7 @@ def mems_state(p, split) -> np.ndarray:
         raise CapacityError(
             f"{p.size} maximally entangled eigenvectors need d2 >= {p.size * d1}, got {d2}"
         )
-    dim = d1 * d2
-    rho = np.zeros((dim, dim), dtype=complex)
-    for i, weight in enumerate(p):
-        phi = np.zeros(dim, dtype=complex)
-        for j in range(d1):
-            phi[j * d2 + (i * d1 + j)] = 1.0 / np.sqrt(d1)
-        rho += weight * np.outer(phi, phi.conj())
+    idx = np.arange(d1) * (d2 + 1) + d1 * np.arange(p.size)[:, None]  # j d2 + i d1 + j
+    rho = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+    rho[idx[:, :, None], idx[:, None, :]] = p[:, None, None] * (1.0 / np.sqrt(d1)) ** 2
     return rho

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entcorr import correlations
+from entcorr import correlations, qcore
 from entcorr.correlations import (
     KINDS,
     MonotoneKind,
@@ -175,6 +175,15 @@ class TestCDistanceNumeric:
                     rho_ab1, (4, 2), kind, rng=worker_rng(31, i), **budget
                 )
                 assert num <= full + 1e-3
+
+    def test_hellinger_with_the_smaller_factor_first(self):
+        # swapping the factors of rho leaves its distance to the product
+        # states unchanged; d_A < d_B used to fail on the SVD's shapes
+        for rank in (1, 3, 8):
+            rho = random_density(8, rank, worker_rng(47, rank))
+            swapped = rho.reshape(4, 2, 4, 2).transpose(1, 0, 3, 2).reshape(8, 8)
+            want = c_distance_numeric(rho, (4, 2), "hellinger")
+            assert abs(c_distance_numeric(swapped, (2, 4), "hellinger") - want) <= 1e-14
 
     def test_witness_attains_the_value(self):
         # fixed rng streams, so the module RNG stream of the other tests is untouched
@@ -358,3 +367,34 @@ class TestEnumKinds:
                     for k in (kind, kind.value)
                 ]
                 assert got[0] == got[1]
+
+
+class TestValidatesOnce:
+    """A public front validates each input state once; the kernels under it
+    do not re-check."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        check = qcore.validate_density_stack
+
+        def counted(rho):
+            seen.append(np.shape(rho))
+            return check(rho)
+
+        monkeypatch.setattr(qcore, "validate_density_stack", counted)
+        return seen
+
+    def test_one_check_per_input_state(self, calls):
+        rng = worker_rng(77)
+        rho, sigma = random_density(8, 3, rng), random_density(8, 8, rng)
+        for call, states in [
+            (lambda: mutual_information(rho, (4, 2)), 1),
+            (lambda: hellinger_distance(rho, sigma), 2),
+            (lambda: bures_distance(rho, sigma), 2),
+            (lambda: c_distance_numeric(rho, (4, 2), "hellinger"), 1),
+            (lambda: c_distance_numeric(rho, (4, 2), "bures", restarts=3), 1),
+        ]:
+            calls.clear()
+            call()
+            assert calls == [(8, 8)] * states

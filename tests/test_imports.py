@@ -14,6 +14,9 @@ so a second concurrence path on eigenvalues of rho rho~ does not return.
 
 Modules import each other at the top only: no function holds a relative
 import, so no import cycle hides behind a deferred one.
+
+Each spectral cut has one home, a kernel of entcorr.qcore: no other module
+names TOL_SUPPORT or TOL_ZERO, so no copy of a cut is written outside it.
 """
 
 import ast
@@ -178,3 +181,42 @@ def test_no_function_level_relative_import():
         for line in function_level_relative_imports(path.read_text(encoding="utf-8"), str(path))
     ]
     assert not bad, "relative imports inside functions: " + ", ".join(bad)
+
+
+CUT_TOLERANCES = {"TOL_SUPPORT", "TOL_ZERO"}
+
+
+def cut_tolerance_sites(source: str, filename: str = "<string>") -> list[tuple[int, str]]:
+    """(line, name) of every use of TOL_SUPPORT or TOL_ZERO: as a name, as
+    an attribute, or imported by name."""
+    sites = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Name) and node.id in CUT_TOLERANCES:
+            sites.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in CUT_TOLERANCES:
+            sites.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            sites += [(node.lineno, a.name) for a in node.names if a.name in CUT_TOLERANCES]
+    return sorted(sites)
+
+
+def test_scanner_sees_every_cut_tolerance_site():
+    source = (
+        "from .qcore import TOL_SUPPORT as cut, TOL_HERM\n"
+        "keep = w > qcore.TOL_ZERO\n"
+        "x = TOL_SUPPORT * w[-1]  # TOL_ZERO in a comment is no use\n"
+        'doc = "TOL_ZERO"\n'
+    )
+    assert cut_tolerance_sites(source) == [(1, "TOL_SUPPORT"), (2, "TOL_ZERO"), (3, "TOL_SUPPORT")]
+
+
+def test_cut_tolerances_only_in_qcore():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert any(path.name == "qcore.py" for path in files)
+    bad = [
+        f"{path.name}:{line}: {name}"
+        for path in files
+        if path.name != "qcore.py"
+        for line, name in cut_tolerance_sites(path.read_text(encoding="utf-8"), str(path))
+    ]
+    assert not bad, "cut tolerances outside qcore: " + ", ".join(bad)

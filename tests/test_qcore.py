@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entcorr.measures import entanglement_of_formation
+from entcorr.bounds import beta_deform
+from entcorr.correlations import f_db
+from entcorr.measures import entanglement_of_formation, is_zhsl_separable, max_concurrence
 from entcorr.qcore import (
     BipartiteSplit,
     CapacityError,
@@ -283,6 +285,24 @@ class TestStackValidators:
                 validate_spectrum_stack(bad, kept)
         with pytest.raises(DomainError):
             validate_spectrum(np.array([0.5, 0.5, 0.0]))
+
+
+class TestNaNInputs:
+    # NaN fails every comparison, so each check is written to fail on it
+    @pytest.mark.parametrize("call", [
+        lambda: shannon_entropy([np.nan]),
+        lambda: purity([np.nan]),
+        lambda: max_concurrence([np.nan, 0.5]),
+        lambda: f_db([0.6, 0.4, np.nan]),
+        lambda: is_zhsl_separable([np.nan], 4),
+        lambda: cc_state(np.array([[0.5, np.nan], [0.25, 0.25]]), 2, 2),
+        lambda: beta_deform([0.5, 0.5], np.nan),
+        lambda: validate_spectrum_stack(np.array([[0.5, 0.5], [np.nan, 0.5]])),
+    ], ids=["shannon", "purity", "max_concurrence", "f_db", "zhsl", "cc_state", "beta_deform",
+            "spectrum_stack"])
+    def test_raises_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestRandomness:
