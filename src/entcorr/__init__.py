@@ -8,12 +8,10 @@ from .bounds import (
     beta_deform,
     bound_curve,
     g_d_numeric,
-    renyi_threshold,
     spectrum_at_f,
     threshold,
     u,
     v,
-    w_pm,
     xi_ef,
     zeta_ef,
 )
@@ -22,18 +20,12 @@ from .correlations import (
     c_distance_numeric,
     c_max,
     c_on_pure,
-    f_db,
-    f_dh,
-    f_mi,
-    f_tilde,
     f_value,
     mutual_information,
 )
 from .measures import (
     concurrence,
     entanglement_of_formation,
-    is_abs_separable_2xd,
-    is_zhsl_separable,
     max_concurrence,
     max_ef_over_spectrum_numeric,
     max_ef_state,
@@ -41,21 +33,16 @@ from .measures import (
     s22_ef,
 )
 from .qcore import (
-    BipartiteSplit,
     CapacityError,
     DomainError,
     bures_distance,
-    cc_state,
     haar_pure,
     haar_unitary,
     hellinger_distance,
-    hermitian_eig,
     majorizes,
     matrix_sqrt_psd,
-    mems_state,
     partial_trace,
     purify,
-    purity,
     random_density,
     random_spectrum,
     schmidt,

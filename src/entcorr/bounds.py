@@ -78,18 +78,6 @@ def _branch_terms(yy: np.ndarray):
     return plus, minus
 
 
-def w_pm(y, sign: int):
-    """One branch of the concurrence-to-entropy kernel.
-
-    w_[+-](y) = -(1 +- sqrt(1-y^2)) ln[(1 +- sqrt(1-y^2))/2] / 2 in nats,
-    with 0 ln 0 = 0.
-    """
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    plus, minus = _branch_terms(_check_domain(y, 0.0, 1.0, "y"))
-    return _scalar_like(y, plus if sign == +1 else minus)
-
-
 def v(y):
     """v(y) = w_+(y) + w_-(y): entanglement of formation at concurrence y."""
     plus, minus = _branch_terms(_check_domain(y, 0.0, 1.0, "y"))
@@ -144,21 +132,32 @@ def xi_ef(kind: str, x):
     feasible slice point, so there xi can only err low, by rounding.
     """
     if kind_of(kind).y is None:
-        out = LN2 - np.asarray(g_d_numeric(kind, 4, x))
+        out = LN2 - np.asarray(g_d_numeric(kind, x))
     else:
         out = u(_y_of_x(kind, x))
     return _scalar_like(x, np.asarray(out, dtype=float))
 
 
-def zeta_ef(kind: str, x):
-    """Classical-classical counterpart of xi: the xi of the row's zeta kind.
-
-    For the Hellinger measure the CC bound coincides with the Bures xi.
-    """
+def _cc_of(kind) -> tuple[str, float]:
+    """The (cc_kind, scale) of the kind's row; DomainError where it has none."""
     row = kind_of(kind)
-    if row.zeta is None:
+    if row.cc is None:
         raise DomainError(f"no classical-classical curve for kind {row.name!r}")
-    return xi_ef(row.zeta, x)
+    return row.cc
+
+
+def zeta_ef(kind: str, x):
+    """Classical-classical counterpart of xi: zeta(x) = xi_cc_kind(scale x),
+    from the row's cc = (cc_kind, scale).
+
+    The strictly correlated CC state with spectrum p has correlation
+    f_cc_kind(p) / scale, so at level x its spectrum lies on the slice
+    f_cc_kind = scale x. For the Hellinger measure (bures, 1) the CC bound
+    is the Bures xi; for the mutual information (mutual_information, 2),
+    where the CC state carries H(p) and a pure state 2 H(p), it is xi(2x).
+    """
+    cc_kind, scale = _cc_of(kind)
+    return xi_ef(cc_kind, scale * np.asarray(x, dtype=float))
 
 
 def threshold(kind: str) -> float:
@@ -170,21 +169,6 @@ def threshold(kind: str) -> float:
     if row.y is None:
         raise DomainError(f"no threshold for kind {row.name!r}")
     return c_max(kind, 3)
-
-
-def renyi_threshold(d1: int, d2: int, alpha: float) -> float:
-    """Correlation level above which the bound vanishes for f = Renyi entropy.
-
-    Via the generalized Pinsker inequality every spectrum on the slice
-    f(p) = x with x >= ln d - alpha / (2 d (d-1)), d = d1*d2, lies in the
-    ball of spectra all of whose states are separable.
-    """
-    if d1 < 2 or d2 < d1:
-        raise DomainError("need d1 >= 2 and d2 >= d1")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError("alpha must lie in (0, 1]")
-    d = d1 * d2
-    return math.log(d) - alpha / (2.0 * d * (d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +399,12 @@ def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
     return best
 
 
-def g_d_numeric(kind: str, d: int, x):
-    """Infimum of s22 over the spectra with correlation value x.
+def g_d_numeric(kind: str, x):
+    """Infimum of s22 over the two-qubit spectra with correlation value x.
 
-    Takes a scalar or an array x, as xi_ef does. The slice solver of the
+    The internal system is two qubits, so the spectra have 4 entries and
+    x lies in [0, c_max(kind, 4)]. Takes a scalar or an array x, as xi_ef
+    does. The slice solver of the
     kind returns a spectrum p on the slice f(p) = x, and the value is
     s22_ef(p). Both solvers are exact, and being attained by a feasible
     point, the value can only err high, by rounding.
@@ -435,8 +421,6 @@ def g_d_numeric(kind: str, d: int, x):
     each of the two families meets the slice once, found by bisection.
     """
     row = kind_of(kind)
-    if d != 4:
-        raise DomainError("only d = 4 (two-qubit internal system) is supported")
     levels = _check_domain(x, 0.0, c_max(kind, 4), "x")
     flat = levels.ravel()
     p = _g4_distance(kind, flat) if row.y is not None else _g4_mutual_information(flat)
@@ -459,19 +443,23 @@ class BoundCurve:
 def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     """Sample the bound curve on an equally spaced grid including endpoints.
 
-    Every point is one call of xi_ef on the whole grid. Kinds with a
-    closed form y(x) in their row (the distance kinds) sample xi. The
-    others (the mutual information) sample the classical-classical curve
-    zeta(x) = xi(2x) on [0, c_max / 2], where no closed form exists:
-    xi(x) = ln 2 - g_d_numeric(x), from the exact slice solver at each
-    point's own level. The value at each point is s22_ef of a spectrum on
-    its slice, so the curve never lies above the true one. The values are
-    returned as xi_ef gives them; the test suite checks that they do not
-    increase.
+    Every point is one call on the whole grid. Kinds with a closed form
+    y(x) in their row (the distance kinds) sample xi on [0, c_max(kind, 4)].
+    The others (the mutual information) sample the classical-classical
+    curve zeta_ef on [0, c_max(cc_kind, 4) / scale], from the row's
+    cc = (cc_kind, scale): for the mutual information zeta(x) = xi(2x) on
+    [0, ln 4], where no closed form exists and xi(x) = ln 2 -
+    g_d_numeric(x), from the exact slice solver at each point's own level.
+    The value at each point is s22_ef of a spectrum on its slice, so the
+    curve never lies above the true one. The values are returned as xi_ef
+    gives them; the test suite checks that they do not increase.
     """
     row = kind_of(kind)
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
-    scale = 1.0 if row.y is not None else 2.0
-    xs = np.linspace(0.0, c_max(kind, 4) / scale, grid)
-    return BoundCurve(row.name, xs, xi_ef(kind, scale * xs))
+    if row.y is not None:
+        xs = np.linspace(0.0, c_max(kind, 4), grid)
+        return BoundCurve(row.name, xs, xi_ef(kind, xs))
+    cc_kind, scale = _cc_of(kind)
+    xs = np.linspace(0.0, c_max(cc_kind, 4) / scale, grid)
+    return BoundCurve(row.name, xs, zeta_ef(kind, xs))

@@ -57,9 +57,11 @@ class VerificationError(RuntimeError):
     """A checked inequality or agreement failed (exit code 4)."""
 
 
-# The field a kind's registry row must fill for the command to accept the
-# kind; every row serves the commands not listed.
-_NEEDS = {"tightness": "y", "gd": "y", "ccbound": "zeta"}
+# The fields a kind's registry row must fill for the command to accept the
+# kind; every row serves the commands not listed. ccbound needs a CC
+# closed form (cc) and a distance to the product states to check it with
+# (closest).
+_NEEDS = {"tightness": ("y",), "gd": ("y",), "ccbound": ("cc", "closest")}
 
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
@@ -98,8 +100,7 @@ def validate_config(cfg: RunConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     row = KINDS.get(cfg.kind)
-    need = _NEEDS.get(cfg.command)
-    if row is None or (need is not None and getattr(row, need) is None):
+    if row is None or any(getattr(row, need) is None for need in _NEEDS.get(cfg.command, ())):
         raise ConfigError(f"kind {cfg.kind!r} not supported by {cfg.command!r}")
 
 
@@ -308,12 +309,12 @@ def run_tightness(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_ccbound(cfg: RunConfig) -> None:
-    cc_kind = KINDS[cfg.kind].zeta  # the kind's CC correlation is f of cc_kind
-    xs = np.linspace(0.0, c_max(cc_kind, 4), cfg.grid)
+    cc_kind, scale = KINDS[cfg.kind].cc  # the CC correlation is f_cc_kind / scale
+    xs = np.linspace(0.0, c_max(cc_kind, 4) / scale, cfg.grid)
     rows = []
     worst_c = 0.0
     worst_e = 0.0
-    spectra = spectrum_at_f(cc_kind, xs)
+    spectra = spectrum_at_f(cc_kind, scale * xs)
     for x, zeta, p in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist(), spectra):
         rho = strictly_correlated_cc(p[p > 0.0], 4, 4)
         c_num = c_distance_numeric(rho, (4, 4), cfg.kind)
@@ -336,7 +337,7 @@ def run_ccbound(cfg: RunConfig) -> None:
 def run_gd(cfg: RunConfig) -> None:
     xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
     analytic = xi_ef(cfg.kind, xs)
-    numeric = LN2 - g_d_numeric(cfg.kind, 4, xs)
+    numeric = LN2 - g_d_numeric(cfg.kind, xs)
     diff = np.abs(numeric - analytic)
     rows = [list(row) for row in zip(*(a.tolist() for a in (xs, analytic, numeric, diff)))]
     worst = float(diff.max())

@@ -5,9 +5,10 @@ the KINDS registry at the end: one row per MonotoneKind (see Kind). Adding
 a kind means adding a row; no other code dispatches on kind names.
 
 Mutual information is evaluated exactly. The Bures and Hellinger
-distance-to-product-states measures have closed forms on pure states and
-on strictly correlated classical-classical states, driven by the spectral
-functions f below. For arbitrary states the distance to the product
+distance-to-product-states measures have closed forms on pure states,
+driven by the spectral functions f below. A row's ``cc`` states the
+correlation of the strictly correlated classical-classical states through
+the f of a kind. For arbitrary states the distance to the product
 states is solved exactly where the mathematics allows: for Hellinger on
 every target, from one SVD of the realigned sqrt(rho), and for Bures on
 pure targets, from the top Schmidt pair. Bures on mixed targets stays
@@ -54,25 +55,26 @@ class Kind:
 
     - ``f``: the correlation of a pure state as a function of its marginal
       spectrum, on spectra padded with zeros and shaped (..., k); unchecked.
-    - ``f_tilde``: the correlation of the strictly correlated CC state with
-      a checked spectrum p; None where no closed form is known.
     - ``y``: y(x) of the closed-form bound curve xi(x) = u(y(x)); None where
       the curve is solved numerically.
-    - ``zeta``: the kind whose xi is this kind's classical-classical curve;
-      None where no kind's is.
+    - ``cc``: (cc_kind, scale): the strictly correlated classical-classical
+      (CC) state with spectrum p has correlation f~(p) = f_cc_kind(p) / scale,
+      so this kind's CC curve is zeta(x) = xi_cc_kind(scale x); None where no
+      closed form is known.
     - ``closest``: (rho, d_a, d_b, restarts, rng) -> (distance, sigma_A,
       sigma_B) on unchecked inputs, the distance to the product states and
       a product state attaining it; None for a kind that is no distance.
 
-    The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, and
-    the threshold of the closed-form curve is c_max(kind, 3).
+    The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, the
+    threshold of the closed-form curve is c_max(kind, 3), and the CC curve
+    zeta_ef, the ccbound grid and the bound curve of a row without y come
+    from cc.
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    f_tilde: Callable[[np.ndarray], np.ndarray] | None = None
     y: Callable[[np.ndarray], np.ndarray] | None = None
-    zeta: str | None = None
+    cc: tuple[str, float] | None = None
     closest: Callable | None = None
 
 
@@ -100,35 +102,8 @@ def _f_mutual_information(p: np.ndarray) -> np.ndarray:
     return 2.0 * _entropy(p)
 
 
-def f_db(p) -> float:
-    """sqrt(2 (1 - sqrt(p1))): Bures correlation of a pure state."""
-    return float(_f_bures(validate_spectrum(p)))
-
-
-def f_dh(p) -> float:
-    """sqrt(2 (1 - p1)): Hellinger correlation of a pure state."""
-    return float(_f_hellinger(validate_spectrum(p)))
-
-
-def f_mi(p) -> float:
-    """2 h(p): mutual information of a pure state with marginal spectrum p."""
-    return float(_f_mutual_information(validate_spectrum(p)))
-
-
 def f_value(kind, p) -> float:
     return float(kind_of(kind).f(validate_spectrum(p)))
-
-
-def f_tilde(kind, p) -> float:
-    """Correlation of the strictly correlated CC state with spectrum p.
-
-    Known for the Hellinger measure (where it equals f_db) and the mutual
-    information (the Shannon entropy); no closed form exists for Bures.
-    """
-    row = kind_of(kind)
-    if row.f_tilde is None:
-        raise DomainError(f"f_tilde is not available for kind {row.name!r}")
-    return float(row.f_tilde(validate_spectrum(p)))
 
 
 def c_max(kind, d: int) -> float:
@@ -372,9 +347,9 @@ def c_distance_numeric(
 KINDS = {
     row.name: row
     for row in (
-        Kind("mutual_information", _f_mutual_information, f_tilde=_entropy),
+        Kind("mutual_information", _f_mutual_information, cc=("mutual_information", 2.0)),
         Kind("bures", _f_bures, y=lambda x: x * x - x ** 4 / 4.0, closest=_bures_closest),
-        Kind("hellinger", _f_hellinger, f_tilde=_f_bures, y=lambda x: x * x / 2.0,
-             zeta="bures", closest=_hellinger_closest),
+        Kind("hellinger", _f_hellinger, y=lambda x: x * x / 2.0, cc=("bures", 1.0),
+             closest=_hellinger_closest),
     )
 }

@@ -29,7 +29,6 @@ from .qcore import (
     haar_unitary,
     pad_spectrum,
     validate_density_matrix,
-    validate_spectrum,
     worker_rng,
 )
 
@@ -307,29 +306,3 @@ def max_ef_over_spectrum_numeric(
         raise DomainError("need iters >= 0")
     rng = worker_rng(0, 0) if rng is None else rng
     return float(_max_ef_orbit(q[None], restarts, iters, [rng])[0][0])
-
-
-# ---------------------------------------------------------------------------
-# Separability conditions on spectra
-# ---------------------------------------------------------------------------
-
-def is_zhsl_separable(p, d: int) -> bool:
-    """Purity ball test: every state with purity <= 1/(d-1) is separable."""
-    if d < 2:
-        raise DomainError("need d >= 2")
-    p = validate_spectrum(p)
-    if p.size > d:
-        raise DomainError(f"spectrum has {p.size} components, at most {d} allowed")
-    return bool((p * p).sum() <= 1.0 / (d - 1))
-
-
-def is_abs_separable_2xd(p, d: int) -> bool:
-    """Absolute-separability test for a 2 x d system.
-
-    Every state with spectrum p (padded with zeros to length 2d) is
-    separable iff p_1 <= p_{2d-1} + 2 sqrt(p_{2d-2} p_{2d}).
-    """
-    if d < 2:
-        raise DomainError("need d >= 2")
-    q = pad_spectrum(p, 2 * d)
-    return bool(q[0] <= q[2 * d - 2] + 2.0 * math.sqrt(q[2 * d - 3] * q[2 * d - 1]))

@@ -19,8 +19,6 @@ other module names TOL_SUPPORT or TOL_ZERO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Validation tolerances. Double precision at the dimensions handled here
@@ -47,41 +45,13 @@ class CapacityError(DomainError):
     """A construction does not fit in the requested dimensions."""
 
 
-@dataclass(frozen=True)
-class BipartiteSplit:
-    """Factorization (d1, d2) of a Hilbert space of dimension d1 * d2.
-
-    The bound machinery assumes the convention d2 >= d1 for the internal
-    split of system A; the A-versus-B cut has no such restriction (B may
-    even be one-dimensional), so it is not enforced here.
-    """
-
-    d1: int
-    d2: int
-
-    def __post_init__(self) -> None:
-        if self.d1 < 1 or self.d2 < 1:
-            raise DomainError(f"split dimensions must be positive, got ({self.d1}, {self.d2})")
-
-    def __iter__(self):
-        return iter((self.d1, self.d2))
-
-    @property
-    def dim(self) -> int:
-        return self.d1 * self.d2
-
-
-def split_dims(split) -> tuple[int, int]:
-    """Normalize a BipartiteSplit or (d1, d2) pair to a tuple of ints."""
+def _check_split(dim: int, split) -> tuple[int, int]:
+    """The split (d1, d2) as ints; DomainError unless both are positive and
+    d1 * d2 is the state dimension ``dim``."""
     d1, d2 = split
     d1, d2 = int(d1), int(d2)
     if d1 < 1 or d2 < 1:
         raise DomainError(f"split dimensions must be positive, got ({d1}, {d2})")
-    return d1, d2
-
-
-def _check_split(dim: int, split) -> tuple[int, int]:
-    d1, d2 = split_dims(split)
     if dim != d1 * d2:
         raise DomainError(f"state dimension {dim} does not match split {(d1, d2)}")
     return d1, d2
@@ -218,17 +188,6 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(_on_support(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix, eigenvalues descending.
-
-    Returns (w, V) with m = V diag(w) V^dagger and the columns of V
-    orthonormal. Degenerate eigenvalues come with an arbitrary orthonormal
-    basis of their eigenspace.
-    """
-    w, v = np.linalg.eigh(validate_hermitian(m))
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def spectrum(rho) -> np.ndarray:
     """Nonzero eigenvalues of a state, decreasing, renormalized to sum 1."""
     p = _probabilities(np.linalg.eigvalsh(validate_density_matrix(rho))[::-1])
@@ -277,11 +236,6 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy(spectrum(rho)))
 
 
-def purity(p) -> float:
-    p = validate_spectrum(p)
-    return float((p * p).sum())
-
-
 def majorizes(p, q, atol: float = 1e-12) -> bool:
     """True iff every partial sum of p dominates the matching one of q."""
     p, q = validate_spectrum(p), validate_spectrum(q)
@@ -305,16 +259,25 @@ def matrix_sqrt_psd(m) -> np.ndarray:
 
 
 def bures_distance(rho, sigma) -> float:
-    """sqrt(2 - 2 tr sqrt(sqrt(rho) sigma sqrt(rho))), in [0, sqrt(2)]."""
+    """||sqrt(rho) - sqrt(sigma) W||_F, minimized over unitaries W, in [0, sqrt(2)].
+
+    The minimum is sqrt(2 - 2 tr sqrt(sqrt(rho) sigma sqrt(rho))) for unit
+    trace, attained at W = U V^dagger from the SVD U S V^dagger of
+    sqrt(sigma) sqrt(rho). Taken as the norm of a difference, the distance
+    of a state to itself is 0 up to rounding, with no sqrt(2 - 2a) to
+    magnify an affinity a that rounds below 1.
+    """
     rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
-    a = _sqrt_psd(rho)
-    return float(_distance(np.sqrt(_on_support(np.linalg.eigvalsh(a @ sigma @ a))).sum()))
+    a, b = _sqrt_psd(rho), _sqrt_psd(sigma)
+    u, _, vh = np.linalg.svd(b @ a)
+    return float(np.linalg.norm(a - b @ u @ vh))
 
 
 def hellinger_distance(rho, sigma) -> float:
-    """sqrt(2 - 2 tr(sqrt(rho) sqrt(sigma))), in [0, sqrt(2)]."""
+    """||sqrt(rho) - sqrt(sigma)||_F, which is sqrt(2 - 2 tr(sqrt(rho) sqrt(sigma)))
+    for unit trace, in [0, sqrt(2)]."""
     rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
-    return float(_distance(np.trace(_sqrt_psd(rho) @ _sqrt_psd(sigma)).real))
+    return float(np.linalg.norm(_sqrt_psd(rho) - _sqrt_psd(sigma)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +346,6 @@ def projector(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def cc_state(joint, d_a: int, d_b: int) -> np.ndarray:
-    """Classical-classical state sum_ij P_ij |i><i| x |j><j|.
-
-    ``joint`` is a d_a x d_b matrix of probabilities summing to one.
-    """
-    joint = np.asarray(joint, dtype=float)
-    if joint.shape != (d_a, d_b):
-        raise DomainError(f"joint table shape {joint.shape} does not match ({d_a}, {d_b})")
-    if not (np.all(joint >= -1e-15) and abs(joint.sum() - 1.0) <= TOL_TRACE):
-        raise DomainError("joint table must be nonnegative and sum to 1")
-    return np.diag(np.clip(joint, 0.0, None).ravel()).astype(complex)
-
-
 def strictly_correlated_cc(p, d_a: int, d_b: int) -> np.ndarray:
     """CC state with p_ij = p_i delta_ij; the A-marginal has spectrum p."""
     p = validate_spectrum(p)
@@ -404,22 +354,3 @@ def strictly_correlated_cc(p, d_a: int, d_b: int) -> np.ndarray:
     joint = np.zeros((d_a, d_b))
     joint[np.arange(p.size), np.arange(p.size)] = p
     return np.diag(joint.ravel()).astype(complex)
-
-
-def mems_state(p, split) -> np.ndarray:
-    """Mixed state whose every eigenvector is maximally entangled.
-
-    Eigenvector i is sum_j |j>_1 |i*d1+j>_2 / sqrt(d1); the blocks of
-    factor 2 used by different eigenvectors are orthogonal, which requires
-    len(p) * d1 <= d2.
-    """
-    d1, d2 = split_dims(split)
-    p = validate_spectrum(p)
-    if p.size * d1 > d2:
-        raise CapacityError(
-            f"{p.size} maximally entangled eigenvectors need d2 >= {p.size * d1}, got {d2}"
-        )
-    idx = np.arange(d1) * (d2 + 1) + d1 * np.arange(p.size)[:, None]  # j d2 + i d1 + j
-    rho = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    rho[idx[:, :, None], idx[:, None, :]] = p[:, None, None] * (1.0 / np.sqrt(d1)) ** 2
-    return rho

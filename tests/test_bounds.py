@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from entcorr.bounds import (
     LN2,
     _beta_deform_stack,
+    _branch_terms,
     _g4_mutual_information,
     _y_of_x,
     beta_deform,
     bound_curve,
     g_d_numeric,
-    renyi_threshold,
     spectrum_at_f,
     threshold,
     u,
     v,
-    w_pm,
     xi_ef,
     zeta_ef,
 )
@@ -84,8 +83,15 @@ class TestKernels:
         assert abs(v(0.5) - binary_entropy_at_concurrence(0.5)) < 1e-15
 
     def test_w_pm_sum(self):
+        # the branches w_+ and w_- of _branch_terms are -a ln a at
+        # a = (1 +- sqrt(1 - y^2)) / 2, and they sum to v
         for y in np.linspace(0.0, 1.0, 11):
-            assert abs(w_pm(y, +1) + w_pm(y, -1) - v(y)) < 1e-14
+            plus, minus = _branch_terms(y)
+            for term, a in ((plus, (1.0 + math.sqrt(1.0 - y * y)) / 2.0),
+                            (minus, (1.0 - math.sqrt(1.0 - y * y)) / 2.0)):
+                want = -a * math.log(a) if a > 0.0 else 0.0
+                assert abs(term - want) < 1e-15
+            assert plus + minus == v(y)
 
     def test_small_concurrence_does_not_cancel(self):
         # 1 - sqrt(1 - y^2) rounds to 0 at y = 1e-8; the kernel is
@@ -93,8 +99,9 @@ class TestKernels:
         y = 1e-8
         b = y * y / 4.0
         assert abs(v(y) - b * (1.0 - math.log(b))) <= 1e-12 * b * (1.0 - math.log(b))
-        assert abs(w_pm(y, -1) + b * math.log(b)) <= -1e-12 * b * math.log(b)
-        assert abs(w_pm(y, +1) - b) <= 1e-12 * b
+        plus, minus = _branch_terms(y)
+        assert abs(minus + b * math.log(b)) <= -1e-12 * b * math.log(b)
+        assert abs(plus - b) <= 1e-12 * b
 
     def test_v_increasing(self):
         ys = np.linspace(0.0, 1.0, 1001)
@@ -184,17 +191,6 @@ class TestThresholds:
         for kind in ("bures", "hellinger"):
             xs = np.linspace(threshold(kind), c_max(kind, 4), 101)
             assert np.all(np.asarray(xi_ef(kind, xs)) < 1e-12)
-
-    def test_renyi_threshold(self):
-        # ln(d1 d2) - alpha / (2 d (d-1)) with d = d1 d2
-        assert abs(renyi_threshold(2, 2, 1.0) - (math.log(4) - 1.0 / 24.0)) < 1e-15
-        assert abs(renyi_threshold(2, 2, 1e-9) - math.log(4)) < 1e-9
-        for d1, d2 in ((2, 2), (2, 3), (3, 4)):
-            assert renyi_threshold(d1, d2, 1.0) < math.log(d1 * d2)
-        with pytest.raises(DomainError):
-            renyi_threshold(2, 2, 1.5)
-        with pytest.raises(DomainError):
-            renyi_threshold(2, 2, 0.0)
 
 
 class TestBetaDeform:
@@ -312,14 +308,12 @@ class TestNaN:
         calls = [
             lambda: v(level),
             lambda: u(level),
-            lambda: w_pm(level, +1),
-            lambda: w_pm(level, -1),
             lambda: zeta_ef("hellinger", level),
         ]
         for kind in MonotoneKind:
             calls += [
                 lambda kind=kind: xi_ef(kind, level),
-                lambda kind=kind: g_d_numeric(kind, 4, level),
+                lambda kind=kind: g_d_numeric(kind, level),
                 lambda kind=kind: spectrum_at_f(kind, level),
             ]
         for call in calls:
@@ -329,16 +323,16 @@ class TestNaN:
 
 class TestG4:
     def test_zero_end(self):
-        assert g_d_numeric("hellinger", 4, 0.0) == 0.0
+        assert g_d_numeric("hellinger", 0.0) == 0.0
 
     def test_capacity_end(self):
-        assert abs(g_d_numeric("hellinger", 4, c_max("hellinger", 4)) - LN2) < 1e-12
+        assert abs(g_d_numeric("hellinger", c_max("hellinger", 4)) - LN2) < 1e-12
 
     def test_matches_analytic_curve(self):
         for kind in ("bures", "hellinger"):
             xs = np.linspace(0.0, c_max(kind, 4), 20)
             diffs = [
-                abs((LN2 - g_d_numeric(kind, 4, float(x))) - float(xi_ef(kind, x)))
+                abs((LN2 - g_d_numeric(kind, float(x))) - float(xi_ef(kind, x)))
                 for x in xs
             ]
             assert max(diffs) <= 1e-3
@@ -349,14 +343,14 @@ class TestG4:
             p = random_spectrum(4, rng)
             for kind in ("bures", "hellinger"):
                 x = f_value(kind, p)
-                assert g_d_numeric(kind, 4, x) <= s22_ef(p) + 1e-9
+                assert g_d_numeric(kind, x) <= s22_ef(p) + 1e-9
 
     def test_never_exceeds_s22_mutual_information(self):
         rng = worker_rng(22)
         for i in range(40):
             p = random_spectrum(4, rng)
             x = f_value("mutual_information", p)
-            g = g_d_numeric("mutual_information", 4, x)
+            g = g_d_numeric("mutual_information", x)
             assert g <= s22_ef(p) + 1e-6
 
     def test_mutual_information_matches_dense_reference(self):
@@ -365,7 +359,7 @@ class TestG4:
         below = np.linspace(0.1, 2.03, 8)
         above = np.linspace(2.08, 2.46, 8)
         for x in np.concatenate([below, above]):
-            g = g_d_numeric("mutual_information", 4, float(x))
+            g = g_d_numeric("mutual_information", float(x))
             ref = dense_mi_reference(float(x))
             assert g <= ref + 1e-12
             assert ref - g <= 1e-8  # the reference is a close feasible point
@@ -380,7 +374,7 @@ class TestG4:
             assert np.all(p > 0.0) and np.all(np.diff(p) <= 0.0)
             assert abs(p.sum() - 1.0) <= 1e-14
             assert abs(f_value("mutual_information", p) - x) <= 1e-12
-            assert g_d_numeric("mutual_information", 4, float(x)) == s22_ef(p)
+            assert g_d_numeric("mutual_information", float(x)) == s22_ef(p)
 
     def test_mutual_information_switches_family(self):
         # the geometric spectrum (p4 = 0) wins below x = 2.055, the
@@ -388,10 +382,6 @@ class TestG4:
         below, above = _g4_mutual_information(np.array([2.03, 2.08]))
         assert below[3] == 0.0 and below[2] > 0.0
         assert above[3] > 0.0 and above[3] == above[1]
-
-    def test_rejects_wrong_dimension(self):
-        with pytest.raises(DomainError):
-            g_d_numeric("hellinger", 9, 0.1)
 
 
 def stack_levels(kind):
@@ -412,12 +402,12 @@ class TestStackedSolvers:
     @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
     def test_g_d_numeric(self, kind):
         xs = stack_levels(kind)
-        single = np.array([g_d_numeric(kind, 4, float(x)) for x in xs])
-        assert all(type(g_d_numeric(kind, 4, float(x))) is float for x in xs[:2])
-        assert np.array_equal(g_d_numeric(kind, 4, xs), single)
-        assert np.array_equal(g_d_numeric(kind, 4, xs[::-1]), single[::-1])
+        single = np.array([g_d_numeric(kind, float(x)) for x in xs])
+        assert all(type(g_d_numeric(kind, float(x))) is float for x in xs[:2])
+        assert np.array_equal(g_d_numeric(kind, xs), single)
+        assert np.array_equal(g_d_numeric(kind, xs[::-1]), single[::-1])
         even = xs.size // 2 * 2
-        grid = g_d_numeric(kind, 4, xs[:even].reshape(-1, 2))
+        grid = g_d_numeric(kind, xs[:even].reshape(-1, 2))
         assert np.array_equal(grid, single[:even].reshape(-1, 2))
 
     @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
@@ -426,7 +416,7 @@ class TestStackedSolvers:
         single = np.array([xi_ef(kind, float(x)) for x in xs])
         assert np.array_equal(xi_ef(kind, xs), single)
         # every kind's xi is ln 2 - g within rounding; exactly so without a closed form
-        gap = np.abs(single - (LN2 - g_d_numeric(kind, 4, xs)))
+        gap = np.abs(single - (LN2 - g_d_numeric(kind, xs)))
         assert gap.max() <= (0.0 if kind == "mutual_information" else 1e-3)
 
     @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
@@ -449,7 +439,7 @@ class TestStackedSolvers:
         for kind in MonotoneKind:
             xs = np.array([0.1, c_max(kind, 4) + 1e-6])
             with pytest.raises(DomainError):
-                g_d_numeric(kind, 4, xs)
+                g_d_numeric(kind, xs)
             with pytest.raises(DomainError):
                 xi_ef(kind, -xs)
             with pytest.raises(DomainError):
@@ -480,6 +470,9 @@ class TestBoundCurve:
 
     def test_mutual_information_curve(self):
         curve = bound_curve("mutual_information", grid=9)
+        # the CC curve zeta(x) = xi(2x) of the row's cc = (mutual_information, 2)
+        assert curve.xs[-1] == c_max("mutual_information", 4) / 2.0
+        assert np.array_equal(curve.bounds, xi_ef("mutual_information", 2 * curve.xs))
         assert abs(curve.bounds[0] - LN2) < 1e-9
         assert curve.bounds[-1] <= 1e-6
         assert np.all(np.diff(curve.bounds) <= 1e-15)
@@ -504,7 +497,7 @@ class TestEnumKinds:
     def test_g_d_numeric(self):
         for kind in MonotoneKind:
             x = 0.5 * c_max(kind, 4)
-            got = [g_d_numeric(k, 4, x) for k in (kind, kind.value)]
+            got = [g_d_numeric(k, x) for k in (kind, kind.value)]
             assert got[0] == got[1]
 
     def test_bound_curve(self):
@@ -523,7 +516,7 @@ class TestEnumKinds:
             lambda: zeta_ef("entropy", 0.5),
             lambda: threshold("entropy"),
             lambda: spectrum_at_f("entropy", 0.1),
-            lambda: g_d_numeric("entropy", 4, 0.1),
+            lambda: g_d_numeric("entropy", 0.1),
             lambda: bound_curve("entropy"),
         )
         for call in calls:

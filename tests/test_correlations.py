@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from entcorr import correlations, qcore
+from entcorr.bounds import zeta_ef
 from entcorr.correlations import (
     KINDS,
     MonotoneKind,
     c_distance_numeric,
     c_max,
     c_on_pure,
-    f_db,
-    f_dh,
-    f_mi,
-    f_tilde,
     f_value,
     mutual_information,
 )
@@ -69,27 +66,29 @@ class TestSpectralFunctions:
             assert f_value(kind, one) == 0.0
 
     def test_hand_values(self):
-        assert abs(f_db(np.array([0.5, 0.5])) - math.sqrt(2 - math.sqrt(2))) < 1e-15
-        assert abs(f_dh(np.full(4, 0.25)) - math.sqrt(1.5)) < 1e-15
-        assert abs(f_db(np.full(4, 0.25)) - 1.0) < 1e-15
-        assert abs(f_mi(np.full(4, 0.25)) - 2 * math.log(4)) < 1e-15
-
-    def test_f_tilde_relations(self):
-        for _ in range(100):
-            p = random_spectrum(4, RNG)
-            assert f_tilde("hellinger", p) == f_db(p)
-            assert abs(f_tilde("mutual_information", p) - 0.5 * f_mi(p)) < 1e-15
+        # the closed forms sqrt(2 (1 - sqrt(p1))), sqrt(2 (1 - p1)) and 2 H(p)
+        assert abs(f_value("bures", np.array([0.5, 0.5])) - math.sqrt(2 - math.sqrt(2))) < 1e-15
+        assert abs(f_value("hellinger", np.full(4, 0.25)) - math.sqrt(1.5)) < 1e-15
+        assert abs(f_value("bures", np.full(4, 0.25)) - 1.0) < 1e-15
+        assert abs(f_value("mutual_information", np.full(4, 0.25)) - 2 * math.log(4)) < 1e-15
 
     def test_f_tilde_bures_unavailable(self):
+        # no closed form is known for the Bures CC correlation
+        assert KINDS["bures"].cc is None
         with pytest.raises(DomainError):
-            f_tilde("bures", np.array([0.5, 0.5]))
+            zeta_ef("bures", 0.5)
 
     def test_f_tilde_below_f(self):
-        # f_db <= f_dh since sqrt(p1) >= p1; h <= 2h
+        # the CC correlation f~(p) = f_cc_kind(p) / scale of a strictly
+        # correlated CC state is at most the f of a pure state with the same
+        # marginal spectrum: the Bures f <= the Hellinger f since
+        # sqrt(p1) >= p1, and H <= 2 H
+        rows = [row for row in KINDS.values() if row.cc is not None]
         for _ in range(10_000):
             p = random_spectrum(4, RNG)
-            assert f_tilde("hellinger", p) <= f_dh(p) + 1e-15
-            assert f_tilde("mutual_information", p) <= f_mi(p) + 1e-15
+            for row in rows:
+                cc_kind, scale = row.cc
+                assert f_value(cc_kind, p) / scale <= f_value(row.name, p) + 1e-15
 
     def test_uniform_is_unique_maximizer(self):
         for kind in MonotoneKind:
@@ -148,17 +147,6 @@ class TestCDistanceNumeric:
                 exact = c_on_pure(psi, (4, 2), kind)
                 num = c_distance_numeric(rho, (4, 2), kind, restarts=3, rng=worker_rng(5, i))
                 assert abs(num - exact) <= 1e-12
-
-    def test_strictly_correlated_cc_matches_f_db(self):
-        # the five module-RNG spectra keep the stream of the other tests as
-        # it was; the 200 of the own stream include near-ties p1 ~ p2
-        own = worker_rng(11)
-        spectra = [random_spectrum(4, RNG) for _ in range(5)]
-        spectra += [random_spectrum(4, own) for _ in range(200)]
-        for i, p in enumerate(spectra):
-            rho = strictly_correlated_cc(p, 4, 4)
-            num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=4, rng=worker_rng(6, i))
-            assert abs(num - f_db(p)) < 1e-12
 
     def test_monotone_under_discarding(self):
         # tracing out part of B is a local operation, so the correlation of
@@ -341,14 +329,26 @@ class TestRegistry:
         assert set(KINDS) == {kind.value for kind in MonotoneKind}
         assert all(KINDS[name].name == name for name in KINDS)
 
-    def test_zeta_kind_gives_the_cc_correlation(self):
-        # ccbound places its CC states with the f of the zeta kind
-        rng = worker_rng(63)
-        for row in KINDS.values():
-            if row.zeta is not None:
-                for _ in range(20):
-                    p = random_spectrum(4, rng)
-                    assert f_tilde(row.name, p) == f_value(row.zeta, p)
+    def test_cc_gives_the_cc_correlation(self):
+        # a row's cc = (cc_kind, scale) says that the strictly correlated CC
+        # state with spectrum p has correlation f_cc_kind(p) / scale; ccbound
+        # and zeta_ef rest on it. It is evaluated independently: by the
+        # distance solver where the row has one, by the mutual information
+        # otherwise. Every row sees the same 200 spectra, near-ties p1 ~ p2
+        # among them.
+        rows = [row for row in KINDS.values() if row.cc is not None]
+        assert {row.name for row in rows} == {"hellinger", "mutual_information"}
+        for row in rows:
+            cc_kind, scale = row.cc
+            rng = worker_rng(11)
+            for _ in range(200):
+                p = random_spectrum(4, rng)
+                rho = strictly_correlated_cc(p, 4, 4)
+                if row.closest is not None:
+                    got = c_distance_numeric(rho, (4, 4), row.name)
+                else:
+                    got = mutual_information(rho, (4, 4))
+                assert abs(got - f_value(cc_kind, p) / scale) <= 1e-12
 
 
 class TestEnumKinds:
@@ -359,8 +359,7 @@ class TestEnumKinds:
         for kind in MonotoneKind:
             assert c_max(kind, 4) == c_max(kind.value, 4)
             assert c_on_pure(BELL, (2, 2), kind) == c_on_pure(BELL, (2, 2), kind.value)
-            if kind is not MonotoneKind.BURES:
-                assert f_tilde(kind, p) == f_tilde(kind.value, p)
+            assert f_value(kind, p) == f_value(kind.value, p)
             if kind is not MonotoneKind.MUTUAL_INFORMATION:
                 got = [
                     c_distance_numeric(rho, (2, 2), k, restarts=2)

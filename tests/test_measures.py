@@ -15,8 +15,6 @@ from entcorr.measures import (
     _rotate,
     concurrence,
     entanglement_of_formation,
-    is_abs_separable_2xd,
-    is_zhsl_separable,
     max_concurrence,
     max_ef_over_spectrum_numeric,
     max_ef_state,
@@ -29,7 +27,6 @@ from entcorr.qcore import (
     majorizes,
     pad_spectrum,
     projector,
-    purity,
     random_density,
     random_spectrum,
     schmidt,
@@ -361,30 +358,34 @@ class TestOrbitGradient:
 
 
 class TestSeparabilityConditions:
+    # At 2 x 2 every state with spectrum p is separable (p is absolutely
+    # separable) iff p1 <= p3 + 2 sqrt(p2 p4), that is iff the concurrence
+    # cap vanishes; the purity ball sum p^2 <= 1/3 lies inside that set.
     def test_zhsl_uniform(self):
-        assert is_zhsl_separable(np.full(4, 0.25), 4)  # purity 1/4 <= 1/3
+        assert max_concurrence(np.full(4, 0.25)) == 0.0  # purity 1/4 <= 1/3
 
     def test_zhsl_pure(self):
-        assert not is_zhsl_separable(np.array([1.0]), 4)
+        assert max_concurrence(np.array([1.0])) == 1.0
 
     def test_abs_sep_examples(self):
-        assert is_abs_separable_2xd(np.array([0.4, 0.3, 0.2, 0.1]), 2)
-        assert not is_abs_separable_2xd(np.array([0.9, 0.1]), 2)
+        assert max_concurrence(np.array([0.4, 0.3, 0.2, 0.1])) == 0.0
+        assert max_concurrence(np.array([0.9, 0.1])) > 0.0
 
     def test_abs_sep_matches_cap(self):
-        # for 2x2 the condition is exactly "the concurrence cap vanishes"
         for _ in range(200):
             p = random_spectrum(4, RNG)
-            assert is_abs_separable_2xd(p, 2) == (max_concurrence(p) <= 0.0)
+            separable = p[0] <= p[2] + 2.0 * math.sqrt(p[1] * p[3])
+            assert separable == (max_concurrence(p) <= 0.0)
 
     def test_separable_spectra_have_zero_numeric_max(self):
+        # on absolutely separable spectra the orbit search finds no entanglement
         rng = worker_rng(16)
         found = 0
         i = 0
         while found < 50:
             i += 1
             p = random_spectrum(4, rng)
-            if not (is_zhsl_separable(p, 4) or is_abs_separable_2xd(p, 2)):
+            if max_concurrence(p) != 0.0:
                 continue
             found += 1
             val = max_ef_over_spectrum_numeric(
@@ -393,8 +394,7 @@ class TestSeparabilityConditions:
             assert val <= 1e-6
 
     def test_zhsl_within_abs_sep_at_2x2(self):
-        # the purity ball is a strict subset of the 2x2 absolute-separability set
         for _ in range(500):
             p = random_spectrum(4, RNG)
-            if is_zhsl_separable(p, 4):
-                assert is_abs_separable_2xd(p, 2)
+            if (p * p).sum() <= 1.0 / 3.0:
+                assert max_concurrence(p) == 0.0

@@ -4,25 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entcorr.bounds import beta_deform
-from entcorr.correlations import f_db
-from entcorr.measures import entanglement_of_formation, is_zhsl_separable, max_concurrence
+from entcorr.correlations import f_value
+from entcorr.measures import max_concurrence
 from entcorr.qcore import (
-    BipartiteSplit,
     CapacityError,
     DomainError,
     bures_distance,
-    cc_state,
     haar_pure,
     haar_unitary,
     hellinger_distance,
-    hermitian_eig,
     majorizes,
     matrix_sqrt_psd,
-    mems_state,
     partial_trace,
     projector,
     purify,
-    purity,
     random_density,
     random_spectrum,
     schmidt,
@@ -50,35 +45,6 @@ def random_state(dim, rng, ancilla=None):
 spectra = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8).map(
     lambda xs: np.sort(np.array(xs))[::-1] / np.sum(xs)
 )
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(2))
-        assert np.allclose(w, [1.0, 1.0])
-
-    def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([0.7, 0.3]))
-        assert np.allclose(w, [0.7, 0.3])
-        assert np.allclose(np.abs(v), np.eye(2))
-
-    def test_pauli_x(self):
-        # characteristic polynomial of [[0,1],[1,0]] is l^2 - 1
-        w, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_reconstruction_and_unitarity(self):
-        for _ in range(20):
-            g = RNG.standard_normal((6, 6)) + 1j * RNG.standard_normal((6, 6))
-            m = (g + g.conj().T) / 2
-            w, v = hermitian_eig(m)
-            assert np.all(np.diff(w) <= 1e-12)
-            assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-12
-            assert np.max(np.abs(v.conj().T @ v - np.eye(6))) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSpectrum:
@@ -174,10 +140,8 @@ class TestEntropies:
     def test_half_half(self):
         assert abs(von_neumann_entropy(np.diag([0.5, 0.5])) - np.log(2)) < 1e-12
 
-    def test_shannon_and_purity_uniform(self):
-        p = np.full(4, 0.25)
-        assert abs(shannon_entropy(p) - np.log(4)) < 1e-12
-        assert abs(purity(p) - 0.25) < 1e-12
+    def test_shannon_uniform(self):
+        assert abs(shannon_entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
 
 
 class TestMajorization:
@@ -245,6 +209,16 @@ class TestDistances:
                 assert abs(d1 - d2) < 1e-9
                 assert 0.0 <= d1 <= np.sqrt(2) + 1e-12
 
+    def test_self_distance_vanishes_to_rounding(self):
+        # both distances are norms of a difference of square roots, so
+        # rho against itself cancels exactly instead of through sqrt(2 - 2a)
+        rng = worker_rng(90)
+        for i in range(100):
+            dim = (9, 16)[i % 2]
+            rho = random_density(dim, 1 + i % dim, rng)
+            assert bures_distance(rho, rho) <= 1e-13
+            assert hellinger_distance(rho, rho) <= 1e-13
+
     def test_matrix_sqrt(self):
         rho = random_state(5, RNG)
         root = matrix_sqrt_psd(rho)
@@ -291,15 +265,12 @@ class TestNaNInputs:
     # NaN fails every comparison, so each check is written to fail on it
     @pytest.mark.parametrize("call", [
         lambda: shannon_entropy([np.nan]),
-        lambda: purity([np.nan]),
         lambda: max_concurrence([np.nan, 0.5]),
-        lambda: f_db([0.6, 0.4, np.nan]),
-        lambda: is_zhsl_separable([np.nan], 4),
-        lambda: cc_state(np.array([[0.5, np.nan], [0.25, 0.25]]), 2, 2),
+        lambda: f_value("bures", [0.6, 0.4, np.nan]),
+        lambda: strictly_correlated_cc([0.5, np.nan], 2, 2),
         lambda: beta_deform([0.5, 0.5], np.nan),
         lambda: validate_spectrum_stack(np.array([[0.5, 0.5], [np.nan, 0.5]])),
-    ], ids=["shannon", "purity", "max_concurrence", "f_db", "zhsl", "cc_state", "beta_deform",
-            "spectrum_stack"])
+    ], ids=["shannon", "max_concurrence", "f_db", "cc_state", "beta_deform", "spectrum_stack"])
     def test_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -341,14 +312,15 @@ class TestRandomness:
 class TestConstructors:
     def test_split_validation(self):
         with pytest.raises(DomainError):
-            BipartiteSplit(0, 2)
-        assert BipartiteSplit(2, 8).dim == 16
+            partial_trace(np.eye(2) / 2, (0, 2), keep=1)
+        assert partial_trace(np.eye(16) / 16, (2, 8), keep=2).shape == (8, 8)
 
     def test_cc_state_is_diagonal(self):
-        joint = np.array([[0.3, 0.2], [0.1, 0.4]])
-        rho = cc_state(joint, 2, 2)
-        assert np.allclose(np.diag(rho).real, [0.3, 0.2, 0.1, 0.4])
-        assert np.allclose(rho, np.diag(np.diag(rho)))
+        rho = strictly_correlated_cc(np.array([0.5, 0.3, 0.2]), 3, 4)
+        assert rho.shape == (12, 12)
+        assert np.array_equal(np.diag(rho).real[[0, 5, 10]], [0.5, 0.3, 0.2])
+        assert np.array_equal(rho, np.diag(np.diag(rho)))
+        assert np.trace(rho).real == 1.0
 
     def test_strictly_correlated_product_case(self):
         rho = strictly_correlated_cc(np.array([1.0]), 2, 2)
@@ -359,22 +331,6 @@ class TestConstructors:
         rho = strictly_correlated_cc(p, 3, 3)
         assert np.allclose(spectrum(partial_trace(rho, (3, 3), keep=1)), p)
 
-    def test_mems_single_vector_is_bell(self):
-        rho = mems_state(np.array([1.0]), (2, 2))
-        assert np.allclose(rho, projector(BELL))
-        assert abs(entanglement_of_formation(rho) - np.log(2)) < 1e-12
-
-    def test_mems_marginals(self):
-        rho = mems_state(np.array([0.5, 0.5]), (2, 4))
-        assert np.allclose(spectrum(rho), [0.5, 0.5])
-        # every eigenvector is maximally entangled across (2, 4)
-        w, v = np.linalg.eigh(rho)
-        for k in np.nonzero(w > 1e-12)[0]:
-            assert np.allclose(schmidt(v[:, k], (2, 4)), [0.5, 0.5])
-        assert np.allclose(
-            partial_trace(rho, (2, 4), keep=1), np.eye(2) / 2
-        )
-
-    def test_mems_capacity(self):
+    def test_strictly_correlated_capacity(self):
         with pytest.raises(CapacityError):
-            mems_state(np.array([0.5, 0.5]), (2, 2))
+            strictly_correlated_cc(np.array([0.5, 0.3, 0.2]), 2, 4)
