@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entcorr import correlations, qcore
-from entcorr.bounds import zeta_ef
+from entcorr.bounds import xi_ef, zeta_ef
 from entcorr.correlations import (
     KINDS,
     MonotoneKind,
@@ -35,6 +35,12 @@ from entcorr.qcore import (
 RNG = worker_rng(271828)
 
 BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def _f_tilde(kind, p):
+    """Correlation of the strictly correlated CC state with spectrum p."""
+    cc_kind, scale = KINDS[kind].cc
+    return f_value(cc_kind, p) / scale
 
 
 class TestMutualInformation:
@@ -72,6 +78,16 @@ class TestSpectralFunctions:
         assert abs(f_value("bures", np.full(4, 0.25)) - 1.0) < 1e-15
         assert abs(f_value("mutual_information", np.full(4, 0.25)) - 2 * math.log(4)) < 1e-15
 
+    def test_f_tilde_relations(self):
+        # the CC correlation f~(p) = f_cc_kind(p) / scale is the Bures f for
+        # the Hellinger measure and half the pure-state f, H(p), for the
+        # mutual information
+        for _ in range(100):
+            p = random_spectrum(4, RNG)
+            assert _f_tilde("hellinger", p) == f_value("bures", p)
+            mi = f_value("mutual_information", p)
+            assert abs(_f_tilde("mutual_information", p) - 0.5 * mi) < 1e-15
+
     def test_f_tilde_bures_unavailable(self):
         # no closed form is known for the Bures CC correlation
         assert KINDS["bures"].cc is None
@@ -87,8 +103,7 @@ class TestSpectralFunctions:
         for _ in range(10_000):
             p = random_spectrum(4, RNG)
             for row in rows:
-                cc_kind, scale = row.cc
-                assert f_value(cc_kind, p) / scale <= f_value(row.name, p) + 1e-15
+                assert _f_tilde(row.name, p) <= f_value(row.name, p) + 1e-15
 
     def test_uniform_is_unique_maximizer(self):
         for kind in MonotoneKind:
@@ -147,6 +162,17 @@ class TestCDistanceNumeric:
                 exact = c_on_pure(psi, (4, 2), kind)
                 num = c_distance_numeric(rho, (4, 2), kind, restarts=3, rng=worker_rng(5, i))
                 assert abs(num - exact) <= 1e-12
+
+    def test_strictly_correlated_cc_matches_f_db(self):
+        # the five module-RNG spectra keep the stream of the other tests as
+        # it was; the 200 of the own stream include near-ties p1 ~ p2
+        own = worker_rng(11)
+        spectra = [random_spectrum(4, RNG) for _ in range(5)]
+        spectra += [random_spectrum(4, own) for _ in range(200)]
+        for i, p in enumerate(spectra):
+            rho = strictly_correlated_cc(p, 4, 4)
+            num = c_distance_numeric(rho, (4, 4), "hellinger", restarts=4, rng=worker_rng(6, i))
+            assert abs(num - f_value("bures", p)) < 1e-12
 
     def test_monotone_under_discarding(self):
         # tracing out part of B is a local operation, so the correlation of
@@ -328,6 +354,19 @@ class TestRegistry:
     def test_one_row_per_kind(self):
         assert set(KINDS) == {kind.value for kind in MonotoneKind}
         assert all(KINDS[name].name == name for name in KINDS)
+
+    def test_zeta_kind_gives_the_cc_correlation(self):
+        # ccbound and zeta_ef place the CC states on the slices of the cc
+        # kind's f: at the CC correlation x = f_cc_kind(p) / scale the CC
+        # curve is the cc kind's xi at f_cc_kind(p)
+        rng = worker_rng(63)
+        for row in KINDS.values():
+            if row.cc is not None:
+                cc_kind, scale = row.cc
+                for _ in range(20):
+                    p = random_spectrum(4, rng)
+                    x = _f_tilde(row.name, p)
+                    assert zeta_ef(row.name, x) == xi_ef(cc_kind, f_value(cc_kind, p))
 
     def test_cc_gives_the_cc_correlation(self):
         # a row's cc = (cc_kind, scale) says that the strictly correlated CC
