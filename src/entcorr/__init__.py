@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .bounds import (
     LN2,
     BoundCurve,
-    beta_deform,
     bound_curve,
     g_d_numeric,
     spectrum_at_f,
@@ -39,7 +38,6 @@ from .qcore import (
     haar_pure,
     haar_unitary,
     hellinger_distance,
-    majorizes,
     matrix_sqrt_psd,
     partial_trace,
     purify,

@@ -14,8 +14,9 @@ where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
 
-Every level is checked once, by _check_domain, and every bisection is one
-stacked _bisect: spectrum_at_f on the beta family, the mutual-information
+Every level is checked once, by _check_domain, and every level search is
+one stacked bisection, _on_level, on a one-parameter family of spectra:
+spectrum_at_f on the isotropic line for every kind, the mutual-information
 solver on its two families. Each level halves its own interval until no
 double lies strictly inside, then keeps the end closer to its level, the
 lower one on a tie.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import _f_mutual_information, c_max, kind_of
-from .qcore import DomainError, validate_spectrum
+from .qcore import DomainError
 
 LN2 = math.log(2.0)
 
@@ -161,132 +162,85 @@ def zeta_ef(kind: str, x):
 
 
 def threshold(kind: str) -> float:
-    """Smallest correlation level beyond which the bound is zero (y = 2/3).
+    """Smallest correlation level beyond which the bound is zero.
 
-    On pure states y = 1 - p1, so y = 2/3 at the uniform 3-spectrum.
+    For a row with y(x), u vanishes from y = 2/3, which the slice reaches
+    at the uniform 3-spectrum (on pure states y = 1 - p1): c_max(kind, 3).
+    For a row without y (the mutual information) it is f at the Werner
+    point t = 1/6, where the cap 1 - 6t of the isotropic line vanishes:
+    2 H(1/2, 1/6, 1/6, 1/6) = ln 12. Past 2 ln 3 the isotropic line is the
+    slice solver's only family, so xi is 0 from ln 12 up to c_max(kind, 4).
     """
     row = kind_of(kind)
     if row.y is None:
-        raise DomainError(f"no threshold for kind {row.name!r}")
+        return float(row.f(_isotropic(np.array(1.0 / 6.0))))
     return c_max(kind, 3)
 
 
 # ---------------------------------------------------------------------------
-# Beta deformation family
+# One-parameter families and the level search on them
 # ---------------------------------------------------------------------------
 
-_TIE_RTOL = 1e-12
+def _spectrum(q: np.ndarray) -> np.ndarray:
+    """Rows of descending nonnegative q, normalized; zeros stay as padding."""
+    return q / q.sum(axis=-1, keepdims=True)
 
 
-def beta_deform(p, beta: float) -> np.ndarray:
-    """Interpolate a spectrum toward the point mass; beta = 1 is the identity.
+def _geometric(r: np.ndarray) -> np.ndarray:
+    """(1, r, r^2, 0) / norm: the p4 = 0 face at its Lagrange point."""
+    return _spectrum(np.stack([np.ones_like(r), r, r * r, np.zeros_like(r)], axis=-1))
 
-    Without a tie at the top the components are proportional to
-    (p_i / p_1)^beta. When the leading value is repeated j times, an eta
-    branch first breaks the tie: the top component grows by eta = beta - 1
-    and the j-1 tied ones shrink by eta/(j-1), up to the largest eta* that
-    keeps the order; beyond beta = 1 + eta* the power branch continues from
-    the tie-broken vector with exponent beta - eta*. The result majorizes
-    the input for every beta >= 1 and is continuous in beta. Components
-    that reach zero are dropped. The validated form of _beta_deform_stack.
+
+def _isotropic(t: np.ndarray) -> np.ndarray:
+    """(1 - 3t, t, t, t): the spectra of the Werner states."""
+    return _spectrum(np.stack([1.0 - 3.0 * t, t, t, t], axis=-1))
+
+
+def _on_level(f, family, top: float, x: np.ndarray) -> np.ndarray:
+    """Members of family on [0, top] with f = x, one per level, by bisection;
+    unchecked.
+
+    f maps spectra shaped (n, 4) to their values and rises with the
+    family's parameter, so each level is crossed once. Every level above 0
+    halves its own interval, the midpoint replacing lo where f < x and hi
+    elsewhere, until no double lies strictly inside; then it keeps the end
+    whose f is closer to x, lo on a tie. However wide the interval, two
+    adjacent doubles are reached within 1076 halvings. A level 0 is never
+    bisected: it keeps parameter 0, the point mass. Takes a 1-D array of
+    levels and returns spectra shaped (n, 4); the levels run as one stack,
+    each with the bits it has alone.
     """
-    p = validate_spectrum(p)
-    beta = float(beta)
-    if not beta >= 1.0 - 1e-12:  # NaN fails too
-        raise DomainError("beta must be >= 1")
-    q = _beta_deform_stack(p, np.array([max(beta, 1.0)]))[0]
-    return q[q > 0.0]
-
-
-def _beta_deform_stack(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """beta_deform of one checked spectrum p at each beta >= 1 of a 1-D array,
-    as rows padded with zeros, shaped (n, p.size); unchecked."""
-    r = p.size
-    ties = np.nonzero(p >= p[0] * (1.0 - _TIE_RTOL))[0]
-    j = int(ties[-1]) + 1  # length of the leading tie run
-    if r == 1 or j == 1:
-        return _power_branch(p, beta)
-
-    p_next = p[j] if j < r else 0.0
-    eta_star = (j - 1) * (p[0] - p_next)
-    eta = np.minimum(beta - 1.0, eta_star)
-    broken = np.tile(p, (beta.size, 1))
-    broken[:, 0] = p[0] + eta
-    broken[:, 1:j] = (p[0] - eta / (j - 1))[:, None]
-    broken = np.where(broken > 0.0, broken, 0.0)
-    broken = np.sort(broken, axis=1)[:, ::-1] / broken.sum(axis=1, keepdims=True)
-    far = beta > 1.0 + eta_star
-    broken[far] = _power_branch(broken[far], beta[far] - eta_star)
-    return broken
-
-
-def _power_branch(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Rows proportional to (p_i / p_1)^beta, one per beta; p is one
-    spectrum or one per beta, padded with zeros."""
-    ratios = p / p[..., :1]
-    with np.errstate(divide="ignore", under="ignore"):
-        q = np.exp(beta[:, None] * np.log(ratios))
-    return q / q.sum(axis=1, keepdims=True)
-
-
-def _bisect(value, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Parameters in [lo, hi] at which value meets x, one per level; unchecked.
-
-    value maps a 1-D array of parameters to their values and rises with the
-    parameter. Every level in ``live`` halves its own interval, the midpoint
-    replacing lo where value(mid) < x and hi elsewhere, until no double lies
-    strictly inside; then every level keeps the end whose value is closer
-    to x, lo on a tie. The levels not in ``live`` only take that pick. lo
-    and hi are updated in place. However wide the interval, two adjacent
-    doubles are reached within 1076 halvings.
-    """
+    lo, hi = np.zeros_like(x), np.full_like(x, top)
+    live = np.flatnonzero(x > 0.0)
     while True:
         mid = 0.5 * (lo[live] + hi[live])
         inside = (mid > lo[live]) & (mid < hi[live])
         live, mid = live[inside], mid[inside]
         if live.size == 0:
             break
-        below = value(mid) < x[live]
+        below = f(family(mid)) < x[live]
         lo[live[below]] = mid[below]
         hi[live[~below]] = mid[~below]
-    closer = np.abs(value(hi) - x) < np.abs(value(lo) - x)
-    return np.where(closer, hi, lo)
+    closer = np.abs(f(family(hi)) - x) < np.abs(f(family(lo)) - x)
+    return family(np.where(closer, hi, lo))
 
 
-def spectrum_at_f(kind: str, x, base=None) -> np.ndarray:
-    """Spectrum p with f_kind(p) = x, found by bisection on beta_deform.
+def spectrum_at_f(kind: str, x) -> np.ndarray:
+    """Werner spectrum (1 - 3t, t, t, t) with f_kind = x, by _on_level on t in [0, 1/4].
 
-    ``base`` must have f_kind(base) >= x; by default the uniform 4-spectrum,
-    whose beta family sweeps every correlation value down to zero. Levels
-    beyond [0, f_kind(base)] by more than 1e-12, or NaN, raise DomainError;
-    the others are clipped into it. Takes a scalar or an array x: a scalar
-    gives the spectrum with its zero components dropped, an array its
-    spectra padded with zeros, shaped x.shape + (base.size,). The levels
-    run as one stack, each with the bits it has alone: beta doubles from 2
-    while f > x (up to 1e6), then each level halves [1, beta] until no
-    double lies strictly inside and keeps the end whose f is closer to x,
-    the smaller beta on a tie (_bisect, on -f, which rises with beta).
+    Every kind's f rises along the Werner line from 0 at the point mass to
+    c_max(kind, 4) at the uniform spectrum, so each level is met once.
+    Levels beyond [0, c_max(kind, 4)] by more than 1e-12, or NaN, raise
+    DomainError; the others are clipped into it. Takes a scalar or an
+    array x: a scalar gives the spectrum with its zero components dropped,
+    an array its spectra padded with zeros, shaped x.shape + (4,).
     """
     f = kind_of(kind).f
-    if base is None:
-        base = np.full(4, 0.25)
-    base = validate_spectrum(base)
-    levels = _check_domain(x, 0.0, float(f(base)), "x")
-    xs = levels.ravel()
-
-    hi = np.full_like(xs, 2.0)
-    grow = np.arange(xs.size)
-    while grow.size:
-        grow = grow[(f(_beta_deform_stack(base, hi[grow])) > xs[grow]) & (hi[grow] < 1e6)]
-        hi[grow] *= 2.0
-    beta = _bisect(
-        lambda b: -f(_beta_deform_stack(base, b)), np.ones_like(xs), hi, -xs, np.arange(xs.size)
-    )
-    q = _beta_deform_stack(base, beta)
+    levels = _check_domain(x, 0.0, c_max(kind, 4), "x")
+    q = _on_level(f, _isotropic, 0.25, levels.ravel())
     if levels.ndim == 0:
         return q[0][q[0] > 0.0]
-    return q.reshape(levels.shape + (base.size,))
-
+    return q.reshape(levels.shape + (4,))
 
 # ---------------------------------------------------------------------------
 # g4: infimum of s22 over an iso-correlation slice
@@ -347,38 +301,6 @@ def _g4_distance(kind: str, x: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, p, [1.0, 0.0, 0.0, 0.0])
 
 
-def _spectrum(q: np.ndarray) -> np.ndarray:
-    """Rows of descending nonnegative q, normalized; zeros stay as padding."""
-    return q / q.sum(axis=-1, keepdims=True)
-
-
-def _geometric(r: np.ndarray) -> np.ndarray:
-    """(1, r, r^2, 0) / norm: the p4 = 0 face at its Lagrange point."""
-    return _spectrum(np.stack([np.ones_like(r), r, r * r, np.zeros_like(r)], axis=-1))
-
-
-def _isotropic(t: np.ndarray) -> np.ndarray:
-    """(1 - 3t, t, t, t): the spectra of the Werner states."""
-    return _spectrum(np.stack([1.0 - 3.0 * t, t, t, t], axis=-1))
-
-
-def _on_entropy_level(family, top: float, x: np.ndarray) -> np.ndarray:
-    """Members of family on [0, top] with Shannon entropy H = x / 2, by bisection.
-
-    The entropy of each family rises with its parameter (the partial sums
-    of the spectrum fall), so each level is crossed exactly once; _bisect
-    finds it. Doubling is exact, so comparing 2 H with x compares H with
-    x / 2 bit for bit. A level 0 is never bisected: it keeps parameter 0,
-    the point mass. Takes a 1-D array of levels and returns spectra shaped
-    (n, 4).
-    """
-    t = _bisect(
-        lambda t: _f_mutual_information(family(t)),
-        np.zeros_like(x), np.full_like(x, top), x, np.flatnonzero(x > 0.0),
-    )
-    return family(t)
-
-
 def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
     """Spectra with the largest concurrence cap on the slices 2 H(p) = x.
 
@@ -391,9 +313,9 @@ def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
     the switch near x = 2.055. Takes a 1-D array of levels and returns
     their spectra padded with zeros, shaped (n, 4).
     """
-    best = _on_entropy_level(_isotropic, 0.25, x)
+    best = _on_level(_f_mutual_information, _isotropic, 0.25, x)
     face = x <= 2.0 * math.log(3.0)
-    geometric = _on_entropy_level(_geometric, 1.0, x[face])
+    geometric = _on_level(_f_mutual_information, _geometric, 1.0, x[face])
     better = _max_concurrence(geometric) > _max_concurrence(best[face])
     best[face] = np.where(better[:, None], geometric, best[face])
     return best

@@ -314,7 +314,7 @@ def run_ccbound(cfg: RunConfig) -> None:
     rows = []
     worst_c = 0.0
     worst_e = 0.0
-    spectra = spectrum_at_f(cc_kind, scale * xs)
+    spectra = spectrum_at_f(cc_kind, scale * xs)  # Werner spectra on the slices f_cc_kind = scale x
     for x, zeta, p in zip(xs.tolist(), zeta_ef(cfg.kind, xs).tolist(), spectra):
         rho = strictly_correlated_cc(p[p > 0.0], 4, 4)
         c_num = c_distance_numeric(rho, (4, 4), cfg.kind)

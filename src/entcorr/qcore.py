@@ -225,7 +225,7 @@ def schmidt(psi, split) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Entropies and majorization
+# Entropies
 # ---------------------------------------------------------------------------
 
 def shannon_entropy(p) -> float:
@@ -234,14 +234,6 @@ def shannon_entropy(p) -> float:
 
 def von_neumann_entropy(rho) -> float:
     return float(_entropy(spectrum(rho)))
-
-
-def majorizes(p, q, atol: float = 1e-12) -> bool:
-    """True iff every partial sum of p dominates the matching one of q."""
-    p, q = validate_spectrum(p), validate_spectrum(q)
-    n = max(p.size, q.size)
-    pp, qq = (np.concatenate([x, np.zeros(n - x.size)]) for x in (p, q))
-    return bool(np.all(np.cumsum(pp) >= np.cumsum(qq) - atol))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +307,8 @@ def haar_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
+    if dim < 1:
+        raise DomainError("dimension must be >= 1")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diag(r)

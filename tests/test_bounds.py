@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from entcorr.bounds import (
     LN2,
-    _beta_deform_stack,
     _branch_terms,
     _g4_mutual_information,
+    _isotropic,
     _y_of_x,
-    beta_deform,
     bound_curve,
     g_d_numeric,
     spectrum_at_f,
@@ -23,7 +22,7 @@ from entcorr.bounds import (
 )
 from entcorr.correlations import MonotoneKind, c_max, f_value, kind_of
 from entcorr.measures import s22_ef
-from entcorr.qcore import DomainError, majorizes, random_spectrum, validate_spectrum, worker_rng
+from entcorr.qcore import DomainError, random_spectrum, worker_rng
 
 RNG = worker_rng(31337)
 
@@ -192,53 +191,14 @@ class TestThresholds:
             xs = np.linspace(threshold(kind), c_max(kind, 4), 101)
             assert np.all(np.asarray(xi_ef(kind, xs)) < 1e-12)
 
-
-class TestBetaDeform:
-    def test_identity_at_one(self):
-        p = np.array([0.5, 0.3, 0.2])
-        assert np.allclose(beta_deform(p, 1.0), p)
-
-    def test_power_branch_hand_value(self):
-        q = beta_deform(np.array([0.7, 0.3]), 2.0)
-        assert np.allclose(q, [49.0 / 58.0, 9.0 / 58.0])
-
-    def test_large_beta_reaches_point_mass(self):
-        q = beta_deform(np.array([0.5, 0.5]), 1e6)
-        assert q.size == 1 and q[0] == 1.0
-
-    def test_tie_branch_endpoint(self):
-        # uniform-4 has eta* = 3/4; at beta = 1 + eta* the vector collapses
-        q = beta_deform(np.full(4, 0.25), 1.75)
-        assert q.size == 1 and q[0] == 1.0
-
-    def test_rejects_beta_below_one(self):
-        with pytest.raises(DomainError):
-            beta_deform(np.array([0.6, 0.4]), 0.5)
-
-    def test_majorization_random(self):
-        rng = worker_rng(9)
-        for _ in range(10_000):
-            size = int(rng.integers(1, 6))
-            p = random_spectrum(size, rng)
-            if rng.uniform() < 0.3:  # force top ties regularly
-                k = int(rng.integers(2, size + 1)) if size > 1 else 1
-                p[:k] = p[0]
-                p = np.sort(p)[::-1] / p.sum()
-            beta = 1.0 + rng.exponential(2.0)
-            q = beta_deform(p, beta)
-            assert majorizes(q, p)
-
-    def test_continuity_in_beta(self):
-        # no jump larger than 10 * dbeta * Lipschitz-estimate on a fine grid
-        rng = worker_rng(10)
-        betas = np.linspace(1.0, 4.0, 601)
-        dbeta = betas[1] - betas[0]
-        for p in (np.full(4, 0.25), np.array([0.4, 0.4, 0.1, 0.1]), random_spectrum(4, rng)):
-            for kind in ("bures", "hellinger", "mutual_information"):
-                vals = np.array([f_value(kind, beta_deform(p, b)) for b in betas])
-                jumps = np.abs(np.diff(vals))
-                lipschitz = jumps.max() / dbeta
-                assert np.all(jumps <= 10.0 * dbeta * max(lipschitz, 1e-9) + 1e-12)
+    def test_mutual_information_at_the_werner_point(self):
+        # 2 H(1/2, 1/6, 1/6, 1/6) = ln 12: the isotropic point t = 1/6,
+        # where the cap 1 - 6t vanishes
+        t = threshold("mutual_information")
+        assert t == math.log(12.0)
+        assert xi_ef("mutual_information", t - 1e-6) > 0.0
+        xs = np.linspace(t, c_max("mutual_information", 4), 101)
+        assert np.all(xi_ef("mutual_information", xs) == 0.0)
 
 
 class TestSpectrumAtF:
@@ -252,31 +212,33 @@ class TestSpectrumAtF:
         with pytest.raises(DomainError):
             spectrum_at_f("bures", 1.5)
 
+    @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
+    def test_werner_spectra_on_the_slice(self, kind):
+        xs = np.linspace(0.0, c_max(kind, 4), 4001)
+        p = spectrum_at_f(kind, xs)
+        assert np.array_equal(p[:, 1], p[:, 2]) and np.array_equal(p[:, 2], p[:, 3])
+        assert np.abs(kind_of(kind).f(p) - xs).max() <= 1e-9
 
-def halving_spectrum_at_f(kind, xs, base):
-    """spectrum_at_f of a 1-D array of levels in [0, f(base)] as a masked
-    loop of up to 200 halvings with its own stop and pick, kept as the
-    reference for the shared bisection: it stops a level at
-    hi - lo < 1e-16 max(1, hi) and takes whichever of lo, hi and their
-    midpoint lands closest, the first on a tie."""
+
+def halving_spectrum_at_f(kind, xs):
+    """spectrum_at_f of a 1-D array of levels in [0, c_max(kind, 4)] as a
+    masked loop of up to 200 halvings of t in [0, 1/4] with its own stop and
+    pick, kept as the reference for the shared bisection: it stops a level
+    at hi - lo < 1e-16 hi and takes whichever of lo, hi and their midpoint
+    lands closest, the first on a tie."""
     f = kind_of(kind).f
-    base = validate_spectrum(base)
-    lo, hi = np.ones_like(xs), np.full_like(xs, 2.0)
-    grow = np.arange(xs.size)
-    while grow.size:
-        grow = grow[(f(_beta_deform_stack(base, hi[grow])) > xs[grow]) & (hi[grow] < 1e6)]
-        hi[grow] *= 2.0
+    lo, hi = np.zeros_like(xs), np.full_like(xs, 0.25)
     live = np.arange(xs.size)
     for _ in range(200):
         if live.size == 0:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        above = f(_beta_deform_stack(base, mid)) > xs[live]
-        lo[live[above]] = mid[above]
-        hi[live[~above]] = mid[~above]
-        live = live[~(hi[live] - lo[live] < 1e-16 * np.maximum(1.0, hi[live]))]
-    betas = np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)
-    q = _beta_deform_stack(base, betas.ravel()).reshape(xs.size, 3, base.size)
+        below = f(_isotropic(mid)) < xs[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        live = live[~(hi[live] - lo[live] < 1e-16 * hi[live])]
+    ts = np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)
+    q = _isotropic(ts.ravel()).reshape(xs.size, 3, 4)
     best = np.argmin(np.abs(f(q) - xs[:, None]), axis=1)
     return q[np.arange(xs.size), best]
 
@@ -286,19 +248,11 @@ class TestSpectrumAtFReference:
     @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
     def test_matches_the_halving_loop(self, kind):
         rng = worker_rng(43)
-        bases = [np.full(4, 0.25), [0.4, 0.4, 0.2], np.full(3, 1.0 / 3.0), [0.7, 0.3]]
-        for i in range(30):
-            p = random_spectrum(2 + i % 5, rng)
-            if i % 3 == 0:  # force a tie at the top
-                p[:2] = p[0]
-                p = np.sort(p)[::-1] / p.sum()
-            bases.append(p)
-        for base in bases:
-            top = f_value(kind, np.asarray(base))
-            xs = np.concatenate([np.linspace(0.0, top, 41), rng.uniform(0.0, top, 10)])
-            got = spectrum_at_f(kind, xs, base)
-            want = halving_spectrum_at_f(kind, xs, base)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        top = c_max(kind, 4)
+        xs = np.concatenate([np.linspace(0.0, top, 41), rng.uniform(0.0, top, 10)])
+        got = spectrum_at_f(kind, xs)
+        want = halving_spectrum_at_f(kind, xs)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNaN:
@@ -427,7 +381,6 @@ class TestStackedSolvers:
             xi_ef(kind, xmax + 1e-11)
         with pytest.raises(DomainError):
             xi_ef(kind, -1e-11)
-        # f at the default base of spectrum_at_f is c_max(kind, 4)
         assert np.array_equal(spectrum_at_f(kind, xmax + 1e-13), spectrum_at_f(kind, xmax))
         assert np.array_equal(spectrum_at_f(kind, -1e-13), spectrum_at_f(kind, 0.0))
         with pytest.raises(DomainError):
@@ -447,16 +400,13 @@ class TestStackedSolvers:
 
     @pytest.mark.parametrize("kind", [kind.value for kind in MonotoneKind])
     def test_spectrum_at_f(self, kind):
-        # the default base, two tied bases and a rank-2 base
-        for base in (None, [0.4, 0.4, 0.2], np.full(3, 1.0 / 3.0), [0.7, 0.3]):
-            full = np.full(4, 0.25) if base is None else np.asarray(base)
-            xs = np.linspace(0.0, f_value(kind, full), 41)
-            stack = spectrum_at_f(kind, xs, base)
-            assert stack.shape == (41, full.size)
-            for x, row in zip(xs, stack):
-                alone = spectrum_at_f(kind, float(x), base)
-                assert np.array_equal(row[: alone.size], alone)
-                assert not row[alone.size:].any()
+        xs = np.linspace(0.0, c_max(kind, 4), 41)
+        stack = spectrum_at_f(kind, xs)
+        assert stack.shape == (41, 4)
+        for x, row in zip(xs, stack):
+            alone = spectrum_at_f(kind, float(x))
+            assert np.array_equal(row[: alone.size], alone)
+            assert not row[alone.size:].any()
 
 
 class TestBoundCurve:
@@ -483,7 +433,7 @@ class TestEnumKinds:
     # gives exactly what its plain string value gives
     def test_closed_forms(self):
         xs = np.linspace(0.0, 1.0, 11)
-        for kind in (MonotoneKind.BURES, MonotoneKind.HELLINGER):
+        for kind in MonotoneKind:
             assert np.array_equal(xi_ef(kind, xs), xi_ef(kind.value, xs))
             assert xi_ef(kind, 0.5) == xi_ef(kind.value, 0.5)
             assert threshold(kind) == threshold(kind.value)
@@ -511,7 +461,6 @@ class TestEnumKinds:
     def test_unsupported_kinds_still_raise(self):
         calls = (
             lambda: zeta_ef(MonotoneKind.BURES, 0.5),
-            lambda: threshold(MonotoneKind.MUTUAL_INFORMATION),
             lambda: xi_ef("entropy", 0.5),
             lambda: zeta_ef("entropy", 0.5),
             lambda: threshold("entropy"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entcorr import measures
-from entcorr.bounds import LN2, beta_deform, v
+from entcorr.bounds import LN2, v
 from entcorr.measures import (
     MAX_EF_BASIS,
     _concurrence_eig,
@@ -24,7 +24,6 @@ from entcorr.measures import (
 from entcorr.qcore import (
     DomainError,
     haar_unitary,
-    majorizes,
     pad_spectrum,
     projector,
     random_density,
@@ -179,12 +178,18 @@ class TestS22:
             s22_ef(np.full(5, 0.2))
 
     def test_schur_property_on_comparable_pairs(self):
-        # q = beta_deform(p, beta) majorizes p, so s22(q) <= s22(p)
+        # moving eps in (0, p_j) from p_j to p_i, i < j, gives a q that
+        # majorizes p, so s22(q) <= s22(p)
         rng = worker_rng(8)
         for _ in range(2000):
             p = random_spectrum(4, rng)
-            q = beta_deform(p, 1.0 + rng.exponential(1.0))
-            assert majorizes(q, p)
+            i, j = np.sort(rng.choice(4, size=2, replace=False))
+            q = p.copy()
+            eps = rng.uniform(0.0, p[j])
+            q[i] += eps
+            q[j] -= eps
+            q = np.sort(q)[::-1]
+            assert np.all(np.cumsum(q) >= np.cumsum(p) - 1e-12)
             assert s22_ef(q) <= s22_ef(p) + 1e-12
 
 

@@ -1,9 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from entcorr.bounds import beta_deform
 from entcorr.correlations import f_value
 from entcorr.measures import max_concurrence
 from entcorr.qcore import (
@@ -13,7 +10,6 @@ from entcorr.qcore import (
     haar_pure,
     haar_unitary,
     hellinger_distance,
-    majorizes,
     matrix_sqrt_psd,
     partial_trace,
     projector,
@@ -40,11 +36,6 @@ BELL = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 def random_state(dim, rng, ancilla=None):
     return random_density(dim, ancilla or dim, rng)
-
-
-spectra = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8).map(
-    lambda xs: np.sort(np.array(xs))[::-1] / np.sum(xs)
-)
 
 
 class TestSpectrum:
@@ -144,37 +135,6 @@ class TestEntropies:
         assert abs(shannon_entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
 
 
-class TestMajorization:
-    @given(spectra)
-    def test_point_mass_majorizes_everything(self, p):
-        assert majorizes(np.array([1.0]), p)
-
-    @given(spectra)
-    def test_uniform_is_majorized(self, p):
-        d = p.size
-        assert majorizes(p, np.full(d, 1.0 / d))
-
-    def test_reflexive(self):
-        for _ in range(20):
-            p = random_spectrum(5, RNG)
-            assert majorizes(p, p)
-
-    def test_transitive_on_comparable_triples(self):
-        for _ in range(200):
-            p = random_spectrum(4, RNG)
-            q = random_spectrum(4, RNG)
-            r = random_spectrum(4, RNG)
-            if majorizes(p, q) and majorizes(q, r):
-                assert majorizes(p, r)
-
-    def test_antisymmetric_up_to_equality(self):
-        for _ in range(200):
-            p = random_spectrum(4, RNG)
-            q = random_spectrum(4, RNG)
-            if majorizes(p, q, atol=0.0) and majorizes(q, p, atol=0.0):
-                assert np.allclose(p, q)
-
-
 class TestDistances:
     def test_self_distance_zero(self):
         rho = random_state(4, RNG)
@@ -268,9 +228,8 @@ class TestNaNInputs:
         lambda: max_concurrence([np.nan, 0.5]),
         lambda: f_value("bures", [0.6, 0.4, np.nan]),
         lambda: strictly_correlated_cc([0.5, np.nan], 2, 2),
-        lambda: beta_deform([0.5, 0.5], np.nan),
         lambda: validate_spectrum_stack(np.array([[0.5, 0.5], [np.nan, 0.5]])),
-    ], ids=["shannon", "max_concurrence", "f_db", "cc_state", "beta_deform", "spectrum_stack"])
+    ], ids=["shannon", "max_concurrence", "f_db", "cc_state", "spectrum_stack"])
     def test_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -281,6 +240,11 @@ class TestRandomness:
         psi = haar_pure(1, RNG)
         assert psi.shape == (1,)
         assert abs(abs(psi[0]) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_haar_unitary_rejects_dim_below_one(self, dim):
+        with pytest.raises(DomainError):
+            haar_unitary(dim, worker_rng(0))
 
     def test_mean_purity_of_induced_measure(self):
         # E[tr rho^2] = (m + k) / (m k + 1) for the partial trace of a Haar
