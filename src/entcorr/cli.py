@@ -5,7 +5,9 @@ boundary experiments, and the slice-solver oracle comparison.
 Subcommands: curve | verify | tightness | ccbound | gd. All runs are
 deterministic functions of their configuration (seed and worker count
 included); outputs are CSV or JSON with LF endings and 17-significant-digit
-floats. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
+floats. A JSON report's "config" block records every RunConfig field,
+--out included, so the same run written to two paths differs in that one
+field. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
 (violation) error.
 """
 
@@ -34,10 +36,11 @@ from .bounds import (
     zeta_ef,
 )
 from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
-from .measures import (_ORBIT_ITERS, _ORBIT_RESTARTS, _concurrence, _max_ef_orbit,
+from .measures import (_ORBIT_ITERS, _ORBIT_RESTARTS, _concurrence_eig, _max_ef_orbit,
                        entanglement_of_formation, max_ef_state)
 from .qcore import (
     DomainError,
+    _on_support,
     _partial_trace,
     _probabilities,
     pad_spectrum,
@@ -204,8 +207,8 @@ def _verify_chunk(args) -> list[tuple]:
         kept = lam > 0.0
         lam = validate_spectrum_stack(lam, kept)
         x = np.minimum(KINDS[kind].f(lam), xmax)
-        rho_a = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
-        e = v(_concurrence(rho_a))
+        _, w, u = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
+        e = v(_concurrence_eig(u, _on_support(w)))
         bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
         spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), kept.sum(axis=-1).tolist()))
         out.extend(zip(x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist(), spectra))
@@ -369,25 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement versus external correlations: curves and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {
-        "curve": dict(grid=201, tolerance=1e-9),
-        "verify": dict(samples=10000, tolerance=1e-9),
-        "tightness": dict(grid=20, tolerance=1e-3),
-        "ccbound": dict(grid=20, tolerance=1e-3),
-        "gd": dict(grid=20, tolerance=1e-3),
-    }
     for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=10000)
-        p.add_argument("--dim-b", dest="dim_b", type=int, default=16)
-        p.add_argument("--grid", type=int, default=defaults[name].get("grid", 201))
-        p.add_argument("--kind", default=RunConfig.kind)
-        p.add_argument("--tolerance", type=float, default=defaults[name]["tolerance"])
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        # A flag left out takes RunConfig's default; the only defaults that
+        # differ are the oracle commands' coarser grid and looser tolerance.
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--samples", type=int)
+        p.add_argument("--dim-b", type=int)
+        p.add_argument("--grid", type=int)
+        p.add_argument("--kind")
+        p.add_argument("--tolerance", type=float)
+        p.add_argument("--out")
+        p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--full", action="store_true")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int)
+        if name in ("tightness", "ccbound", "gd"):
+            p.set_defaults(grid=20, tolerance=1e-3)
     return parser
 
 

@@ -61,8 +61,9 @@ class Kind:
       (CC) state with spectrum p has correlation f~(p) = f_cc_kind(p) / scale,
       so this kind's CC curve is zeta(x) = xi_cc_kind(scale x); None where no
       closed form is known.
-    - ``closest``: (rho, d_a, d_b, restarts, rng) -> (distance, sigma_A,
-      sigma_B) on unchecked inputs, the distance to the product states and
+    - ``closest``: (rho, w, v, d_a, d_b, restarts, rng) -> (distance,
+      sigma_A, sigma_B) on unchecked inputs, with w and v the eigh of rho
+      that its validator returns: the distance to the product states and
       a product state attaining it; None for a kind that is no distance.
 
     The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, the
@@ -91,7 +92,7 @@ def kind_of(kind) -> Kind:
 # ---------------------------------------------------------------------------
 
 def _f_bures(p: np.ndarray) -> np.ndarray:
-    return _distance(np.sqrt(p.T[0].T))  # a numpy scalar for one spectrum, as in _concurrence
+    return _distance(np.sqrt(p.T[0].T))  # a numpy scalar for one spectrum, as in _concurrence_eig
 
 
 def _f_hellinger(p: np.ndarray) -> np.ndarray:
@@ -120,10 +121,11 @@ def c_max(kind, d: int) -> float:
 
 def mutual_information(rho, split) -> float:
     """S(rho_A) + S(rho_B) - S(rho) across the given A:B cut, in nats."""
-    rho = validate_density_matrix(rho)
+    rho, w, _ = validate_density_matrix(rho)
     d1, d2 = _check_split(rho.shape[0], split)
-    s_a, s_b, s_ab = (_entropy(_probabilities(np.linalg.eigvalsh(m)[::-1])) for m in (
-        _partial_trace(rho, d1, d2, 1), _partial_trace(rho, d1, d2, 2), rho))
+    s_a, s_b, s_ab = (_entropy(_probabilities(ev[::-1])) for ev in (
+        np.linalg.eigvalsh(_partial_trace(rho, d1, d2, 1)),
+        np.linalg.eigvalsh(_partial_trace(rho, d1, d2, 2)), w))
     return float(max(0.0, s_a + s_b - s_ab))
 
 
@@ -136,7 +138,7 @@ def c_on_pure(psi, split, kind) -> float:
 # Numeric infimum over product states
 # ---------------------------------------------------------------------------
 
-def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int, *_):
+def _hellinger_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int, *_):
     """Exact Hellinger distance to the product states, with a product state
     attaining it. Further arguments (the search budget of the Bures oracle)
     are ignored.
@@ -157,7 +159,7 @@ def _hellinger_closest(rho: np.ndarray, d_a: int, d_b: int, *_):
     resolves the top vector only to about 1e-16 / gap, and the witness's
     distance can miss the value by up to 1.55e-8.
     """
-    r = _sqrt_psd(rho).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
+    r = _sqrt_psd(w, v).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
     r = r.reshape(d_a * d_a, d_b * d_b)
     _, s, vh = np.linalg.svd(r, full_matrices=False)
     top = vh[s >= s[0] * (1.0 - 1e-12)]  # rounding splits a degenerate s1
@@ -267,10 +269,11 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200
     return out_a, out_b, out_val
 
 
-def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
-                   rng: np.random.Generator):
-    """Bures distance from rho to the product states, with the product
-    state (sigma_A, sigma_B) that attains it. Inputs are not validated.
+def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int,
+                   restarts: int, rng: np.random.Generator):
+    """Bures distance from rho = v diag(w) v^dagger to the product states,
+    with the product state (sigma_A, sigma_B) that attains it. Inputs are
+    not validated.
 
     On a pure target |psi> it is exact: the root fidelity with
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
@@ -284,7 +287,7 @@ def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
     ``rng`` act on this case only.
     """
     if np.trace(rho @ rho).real > 1.0 - 1e-12:
-        psi = np.linalg.eigh(rho)[1][:, -1].reshape(d_a, d_b)
+        psi = v[:, -1].reshape(d_a, d_b)
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
         return _distance(s[0]), sigma_a, sigma_b
@@ -294,7 +297,7 @@ def _bures_closest(rho: np.ndarray, d_a: int, d_b: int, restarts: int,
         starts_a.append(random_density(d_a, d_a, rng))
         starts_b.append(random_density(d_b, d_b, rng))
     sigma_a, sigma_b, aff = _polish_bures_mixed(
-        _sqrt_psd(rho),
+        _sqrt_psd(w, v),
         np.array(starts_a[:restarts], dtype=complex),
         np.array(starts_b[:restarts], dtype=complex),
     )
@@ -330,14 +333,14 @@ def c_distance_numeric(
     row = kind_of(kind)
     if row.closest is None:
         raise DomainError(f"kind {row.name!r} is not a distance to the product states")
-    rho = validate_density_matrix(rho)
+    rho, w, v = validate_density_matrix(rho)
     d_a, d_b = _check_split(rho.shape[0], split)
     if d_a * d_b > 64:
         raise DomainError("supported up to total dimension 64")
     if restarts < 1:
         raise DomainError("need restarts >= 1")
     rng = worker_rng(0, 0) if rng is None else rng
-    return float(row.closest(rho, d_a, d_b, restarts, rng)[0])
+    return float(row.closest(rho, w, v, d_a, d_b, restarts, rng)[0])
 
 
 # ---------------------------------------------------------------------------

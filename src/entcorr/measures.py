@@ -5,7 +5,8 @@ concurrence; higher-dimensional internal systems are covered by the
 negativity only. The concurrence has one kernel, which takes a state in
 eigenform U diag(q) U^dagger: Wootters' mu_i are the singular values of
 sqrt(q) U^T (Y x Y) U sqrt(q) (PRL 80, 2245, 1998). A density matrix
-reaches it through eigh, with its eigenvalues cut by qcore._on_support.
+reaches it through the eigh that its validator returns, with its
+eigenvalues cut by qcore._on_support.
 The spectral cap s22 (kept in bounds, next to v) gives the largest
 entanglement of formation compatible with a given eigenvalue vector. An
 explicit state attains it, and an independent, deterministic oracle
@@ -68,12 +69,6 @@ def _concurrence_eig(u: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(c > 0.0, c, 0.0)
 
 
-def _concurrence(rho: np.ndarray) -> np.ndarray:
-    """Concurrence of a stack of 4x4 states, shaped (..., 4, 4); unchecked."""
-    w, u = np.linalg.eigh(rho)
-    return _concurrence_eig(u, _on_support(w))
-
-
 def concurrence(rho) -> float:
     """Two-qubit concurrence max{0, mu1 - mu2 - mu3 - mu4}.
 
@@ -81,12 +76,12 @@ def concurrence(rho) -> float:
     values of sqrt(q) U^T (Y x Y) U sqrt(q), which are the square roots of
     the eigenvalues of rho (Y x Y) rho* (Y x Y) (conjugate taken entrywise
     in the computational basis). Eigenvalues of rho below TOL_SUPPORT times
-    the largest count as zero.
+    the largest count as zero; U and q are the eigh its validator returns.
     """
-    rho = validate_density_matrix(rho)
+    rho, w, v = validate_density_matrix(rho)
     if rho.shape != (4, 4):
         raise DomainError(f"concurrence needs a 4x4 state, got {rho.shape}")
-    return float(_concurrence(rho))
+    return float(_concurrence_eig(v, _on_support(w)))
 
 
 def entanglement_of_formation(rho) -> float:
@@ -96,7 +91,7 @@ def entanglement_of_formation(rho) -> float:
 
 def negativity(rho, split) -> float:
     """(||rho^T1||_1 - 1) / 2 via the partial transpose on factor 1."""
-    rho = validate_density_matrix(rho)
+    rho = validate_density_matrix(rho)[0]
     d1, d2 = _check_split(rho.shape[0], split)
     pt = rho.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
     w = np.linalg.eigvalsh(pt)

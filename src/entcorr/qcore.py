@@ -13,8 +13,9 @@ Conventions used across the package:
 Fronts and kernels: a public function validates its input once, then calls
 unchecked kernels on stacks (..., d) or (..., d, d), one per rule:
 _on_support, _probabilities, _entropy, _distance, _partial_trace and
-_sqrt_psd. Package code holding checked data calls the kernels, and no
-other module names TOL_SUPPORT or TOL_ZERO.
+_sqrt_psd. A checked state is diagonalised once, by the density validator,
+whose eigh every front and kernel reads. Package code holding checked data
+calls the kernels, and no other module names TOL_SUPPORT or TOL_ZERO.
 """
 
 from __future__ import annotations
@@ -84,22 +85,28 @@ def validate_hermitian(m) -> np.ndarray:
     return _hermitian_stack(_one_matrix(m))
 
 
-def validate_density_matrix(rho) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace; return as complex array."""
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh (w, v) of Hermitian matrices (..., d, d); DomainError if any w < -TOL_PSD."""
+    w, v = np.linalg.eigh(m)
+    if (w.T[0] < -TOL_PSD).any():  # a numpy scalar for one matrix
+        raise DomainError(f"negative eigenvalue {w.min()} beyond tolerance")
+    return w, v
+
+
+def validate_density_matrix(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check Hermiticity, unit trace and positivity, in that order; return
+    (rho, w, v): rho as a complex array and its eigh, rho = v diag(w) v^dagger."""
     return validate_density_stack(_one_matrix(rho))
 
 
-def validate_density_stack(rho) -> np.ndarray:
+def validate_density_stack(rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack form of validate_density_matrix: every state of an (..., d, d) array."""
     rho = _hermitian_stack(rho)
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     dev = abs(tr - 1.0)
     if (dev > TOL_TRACE).any():
         raise DomainError(f"trace is {np.ravel(tr)[np.argmax(dev)]}, expected 1")
-    w = np.linalg.eigvalsh(rho).T[0]  # a numpy scalar for one state
-    if (w < -TOL_PSD).any():
-        raise DomainError(f"negative eigenvalue {w.min()} beyond tolerance")
-    return rho
+    return (rho, *_psd_eigh(rho))
 
 
 def validate_pure_state(psi) -> np.ndarray:
@@ -182,21 +189,21 @@ def _partial_trace(rho: np.ndarray, d1: int, d2: int, keep: int) -> np.ndarray:
     return np.einsum("...abcb->...ac" if keep == 1 else "...abac->...bc", r4)
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    """Principal square roots of PSD matrices (..., d, d), eigenvalues cut by _on_support."""
-    w, v = np.linalg.eigh(m)
+def _sqrt_psd(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Principal square roots of PSD matrices given by their eigh, w (..., d)
+    and v (..., d, d); w cut by _on_support. It decomposes nothing itself."""
     return (v * np.sqrt(_on_support(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def spectrum(rho) -> np.ndarray:
     """Nonzero eigenvalues of a state, decreasing, renormalized to sum 1."""
-    p = _probabilities(np.linalg.eigvalsh(validate_density_matrix(rho))[::-1])
+    p = _probabilities(validate_density_matrix(rho)[1][::-1])
     return p[p > 0.0]
 
 
 def partial_trace(rho, split, keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite state; ``keep`` is 1 or 2."""
-    rho = validate_density_matrix(rho)
+    rho = validate_density_matrix(rho)[0]
     d1, d2 = _check_split(rho.shape[0], split)
     if keep not in (1, 2):
         raise DomainError(f"keep must be 1 or 2, got {keep}")
@@ -210,7 +217,7 @@ def purify(rho) -> np.ndarray:
     zero cutoff), so the Schmidt coefficients of the result are exactly the
     square roots of spectrum(rho).
     """
-    w, v = np.linalg.eigh(validate_density_matrix(rho))
+    _, w, v = validate_density_matrix(rho)
     p = _probabilities(w)
     psi = (v * np.sqrt(p))[:, p > 0.0].ravel()  # index i*rank + m, factor-1 major
     return psi / np.linalg.norm(psi)
@@ -243,11 +250,7 @@ def von_neumann_entropy(rho) -> float:
 def matrix_sqrt_psd(m) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix. Eigenvalues below
     TOL_SUPPORT times the largest are rounding noise and count as zero."""
-    m = validate_hermitian(m)
-    low = np.linalg.eigvalsh(m)[0]
-    if low < -TOL_PSD:
-        raise DomainError(f"negative eigenvalue {low} beyond tolerance")
-    return _sqrt_psd(m)
+    return _sqrt_psd(*_psd_eigh(validate_hermitian(m)))
 
 
 def bures_distance(rho, sigma) -> float:
@@ -259,8 +262,7 @@ def bures_distance(rho, sigma) -> float:
     of a state to itself is 0 up to rounding, with no sqrt(2 - 2a) to
     magnify an affinity a that rounds below 1.
     """
-    rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
-    a, b = _sqrt_psd(rho), _sqrt_psd(sigma)
+    a, b = (_sqrt_psd(*validate_density_matrix(m)[1:]) for m in (rho, sigma))
     u, _, vh = np.linalg.svd(b @ a)
     return float(np.linalg.norm(a - b @ u @ vh))
 
@@ -268,8 +270,8 @@ def bures_distance(rho, sigma) -> float:
 def hellinger_distance(rho, sigma) -> float:
     """||sqrt(rho) - sqrt(sigma)||_F, which is sqrt(2 - 2 tr(sqrt(rho) sqrt(sigma)))
     for unit trace, in [0, sqrt(2)]."""
-    rho, sigma = validate_density_matrix(rho), validate_density_matrix(sigma)
-    return float(np.linalg.norm(_sqrt_psd(rho) - _sqrt_psd(sigma)))
+    a, b = (_sqrt_psd(*validate_density_matrix(m)[1:]) for m in (rho, sigma))
+    return float(np.linalg.norm(a - b))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -203,6 +204,26 @@ class TestExitCodes:
         argv = ["verify", "--samples", "20", "--out", str(tmp_path / "v.csv")]
         assert main(argv) == 4
         assert "verification failed" in capsys.readouterr().err
+
+
+class TestJSONMatchesCSV:
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--kind", "hellinger", "--grid", "5"],
+        ["curve", "--kind", "mutual_information", "--grid", "5"],
+        ["tightness", "--grid", "3"],
+        ["ccbound", "--grid", "2"],
+        ["gd", "--grid", "3"],
+    ], ids=["curve-hellinger", "curve-mutual_information", "tightness", "ccbound", "gd"])
+    def test_same_rows_and_the_parsed_config(self, tmp_path, argv):
+        lines = run_to_text(tmp_path, "r.csv", argv).splitlines()
+        header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+        json_argv = [*argv, "--format", "json", "--out", str(tmp_path / "r.json")]
+        assert main(json_argv) == 0
+        report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert report["records"] == [dict(zip(header, map(float, row))) for row in rows]
+        parsed = cli.config_from_args(cli.build_parser().parse_args(json_argv))
+        assert report["config"] == asdict(parsed)
+        assert report["config"]["out"] == str(tmp_path / "r.json")
 
 
 class TestParser:

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from entcorr import correlations, qcore
+from entcorr import cli, correlations, qcore
 from entcorr.bounds import xi_ef, zeta_ef
 from entcorr.correlations import (
     KINDS,
@@ -14,6 +15,7 @@ from entcorr.correlations import (
     f_value,
     mutual_information,
 )
+from entcorr.measures import concurrence, entanglement_of_formation
 from entcorr.qcore import (
     TOL_SUPPORT,
     DomainError,
@@ -24,11 +26,14 @@ from entcorr.qcore import (
     matrix_sqrt_psd,
     partial_trace,
     projector,
+    purify,
     random_density,
     random_spectrum,
     schmidt,
+    spectrum,
     strictly_correlated_cc,
     validate_density_matrix,
+    von_neumann_entropy,
     worker_rng,
 )
 
@@ -223,7 +228,8 @@ class TestCDistanceNumeric:
         ]
         distances = {"bures": bures_distance, "hellinger": hellinger_distance}
         for rho, split, kind in rows:
-            value, sigma_a, sigma_b = KINDS[kind].closest(rho, *split, 4, worker_rng(7))
+            value, sigma_a, sigma_b = KINDS[kind].closest(
+                *validate_density_matrix(rho), *split, 4, worker_rng(7))
             assert value == c_distance_numeric(rho, split, kind, restarts=4, rng=worker_rng(7))
             validate_density_matrix(sigma_a)
             validate_density_matrix(sigma_b)
@@ -242,7 +248,8 @@ class TestCDistanceNumeric:
         closest = KINDS["hellinger"].closest
         for i in range(20):
             rho = random_density(8, 2, rng)
-            value, sigma_a, sigma_b = closest(rho, 4, 2, 4, worker_rng(62, i))
+            value, sigma_a, sigma_b = closest(
+                *validate_density_matrix(rho), 4, 2, 4, worker_rng(62, i))
             aff = np.trace(root(rho, 2) @ np.kron(root(sigma_a, 4), root(sigma_b, 2))).real
             assert abs(math.sqrt(max(0.0, 2.0 - 2.0 * aff)) - value) <= 1e-12
 
@@ -326,7 +333,7 @@ class TestBuresStack:
             for restarts in (1, 2, 4, 10):
                 ref_rng, rng = worker_rng(72, i), worker_rng(72, i)
                 want = sequential_bures_closest(rho, 4, 2, restarts, ref_rng)
-                got = KINDS["bures"].closest(rho, 4, 2, restarts, rng)
+                got = KINDS["bures"].closest(*validate_density_matrix(rho), 4, 2, restarts, rng)
                 assert got[0] == want[0]
                 assert np.array_equal(got[1], want[1])
                 assert np.array_equal(got[2], want[2])
@@ -436,3 +443,46 @@ class TestValidatesOnce:
             calls.clear()
             call()
             assert calls == [(8, 8)] * states
+
+
+_RHO, _SIGMA = random_density(8, 3, worker_rng(78)), random_density(8, 8, worker_rng(79))
+_RHO4 = random_density(4, 3, worker_rng(80))
+_FRONTS = {
+    "spectrum": lambda: spectrum(_RHO),
+    "von_neumann_entropy": lambda: von_neumann_entropy(_RHO),
+    "purify": lambda: purify(_RHO),
+    "matrix_sqrt_psd": lambda: matrix_sqrt_psd(_RHO),
+    "bures_distance": lambda: bures_distance(_RHO, _SIGMA),
+    "hellinger_distance": lambda: hellinger_distance(_RHO, _SIGMA),
+    "concurrence": lambda: concurrence(_RHO4),
+    "entanglement_of_formation": lambda: entanglement_of_formation(_RHO4),
+    "mutual_information": lambda: mutual_information(_RHO, (4, 2)),
+    "c_distance_hellinger": lambda: c_distance_numeric(_RHO, (4, 2), "hellinger"),
+    "c_distance_bures": lambda: c_distance_numeric(_RHO, (4, 2), "bures", restarts=2),
+    "verify_chunk": lambda: cli._verify_chunk(("hellinger", 16, 50, 0, 1)),
+}
+
+
+class TestDiagonalisesOnce:
+    """The density validator's eigh is the one decomposition of a checked
+    state: a front hands it on and decomposes no matrix a second time."""
+
+    @pytest.fixture
+    def inputs(self, monkeypatch):
+        """A digest of the shape and bytes of every matrix (or stack) passed
+        to np.linalg.eigh, eigvalsh or svd."""
+        seen = []
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+                a = np.ascontiguousarray(a)
+                seen.append(hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest())
+                return _decompose(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("front", list(_FRONTS))
+    def test_no_matrix_is_decomposed_twice(self, inputs, front):
+        _FRONTS[front]()
+        assert inputs
+        assert len(set(inputs)) == len(inputs)

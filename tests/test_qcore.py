@@ -202,7 +202,7 @@ class TestStackValidators:
 
     def test_accepts_transposed_views(self):
         rho = random_state(4, worker_rng(32))
-        assert np.array_equal(validate_density_matrix(rho.T), rho.T)
+        assert np.array_equal(validate_density_matrix(rho.T)[0], rho.T)
         stack = np.stack([rho, rho.conj()])
         assert validate_density_stack(stack.swapaxes(-1, -2)) is not None
 
