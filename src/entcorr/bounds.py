@@ -246,16 +246,20 @@ def spectrum_at_f(kind: str, x) -> np.ndarray:
 # g4: infimum of s22 over an iso-correlation slice
 # ---------------------------------------------------------------------------
 
-def optimal_slice_spectrum(kind: str, x: float) -> np.ndarray:
-    """Spectrum minimizing s22 on the slice f(p) = x (closed-form cases)."""
-    y = float(_y_of_x(kind, x))
-    if y == 0.0:
-        return np.array([1.0])
-    if y <= 0.5:
-        return np.array([1.0 - y, y])
-    if y <= 2.0 / 3.0:
-        return np.array([1.0 - y, 1.0 - y, 2.0 * y - 1.0])
-    return np.array([1.0 - y, 1.0 - y, 1.0 - y, 3.0 * y - 2.0])
+def optimal_slice_spectrum(kind: str, x) -> np.ndarray:
+    """Spectra minimizing s22 on the slices f(p) = x of a kind with a closed
+    form y(x), padded with zeros and shaped x.shape + (4,).
+
+    With p1 = 1 - y fixed by the slice, the minimizer is (1 - y, y) for
+    y <= 1/2 (the point mass at y = 0), (1 - y, 1 - y, 2y - 1) up to
+    y = 2/3 and (1 - y, 1 - y, 1 - y, 3y - 2) beyond, the three pieces of u.
+    """
+    y = _y_of_x(kind, x)[..., None]
+    top, zero = 1.0 - y, np.zeros_like(y)
+    first = np.concatenate([top, y, zero, zero], axis=-1)
+    second = np.concatenate([top, top, 2.0 * y - 1.0, zero], axis=-1)
+    third = np.concatenate([top, top, top, 3.0 * y - 2.0], axis=-1)
+    return np.where(y <= 0.5, first, np.where(y <= 2.0 / 3.0, second, third))
 
 
 def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -35,19 +35,16 @@ from .bounds import (
     xi_ef,
     zeta_ef,
 )
-from .correlations import KINDS, c_distance_numeric, c_max, c_on_pure
+from .correlations import KINDS, c_distance_numeric, c_max
 from .measures import (_ORBIT_ITERS, _ORBIT_RESTARTS, _concurrence_eig, _max_ef_orbit,
-                       entanglement_of_formation, max_ef_state)
+                       _max_ef_states, entanglement_of_formation)
 from .qcore import (
     DomainError,
     _on_support,
     _partial_trace,
     _probabilities,
-    pad_spectrum,
-    purify,
     strictly_correlated_cc,
     validate_density_stack,
-    validate_spectrum_stack,
     worker_rng,
 )
 
@@ -204,13 +201,12 @@ def _verify_chunk(args) -> list[tuple]:
         sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
         m = z / np.sqrt(sq)
         lam = _probabilities(np.linalg.svd(m, compute_uv=False) ** 2)
-        kept = lam > 0.0
-        lam = validate_spectrum_stack(lam, kept)
         x = np.minimum(KINDS[kind].f(lam), xmax)
         _, w, u = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
         e = v(_concurrence_eig(u, _on_support(w)))
         bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
-        spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), kept.sum(axis=-1).tolist()))
+        sizes = (lam > 0.0).sum(axis=-1).tolist()
+        spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), sizes))
         out.extend(zip(x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist(), spectra))
     return out
 
@@ -264,33 +260,31 @@ def run_verify(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def run_tightness(cfg: RunConfig) -> None:
+    """c_pure is f at each built state's spectrum, the Schmidt spectrum of its
+    purification: the correlation that state carries, x on its slice. The
+    states are built as one stack and validated once, and their eigh gives
+    the construction check, ef_construct and c_pure."""
     restarts = cfg.opt_restarts if cfg.opt_restarts is not None else _ORBIT_RESTARTS
     iters = cfg.opt_iters if cfg.opt_iters is not None else _ORBIT_ITERS
-    xs = [float(x) for x in np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)]
-    spectra = [optimal_slice_spectrum(cfg.kind, x) for x in xs]
+    xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
+    q = optimal_slice_spectrum(cfg.kind, xs)
     # Each grid point draws the Haar starts of its orbit ascents from rng
     # stream point index + 1, also when all points climb as one stack; the
     # ascents themselves draw nothing.
-    e_nums, _ = _max_ef_orbit(
-        np.array([pad_spectrum(p, 4) for p in spectra]),
-        restarts,
-        iters,
-        [worker_rng(cfg.seed, i + 1) for i in range(len(xs))],
-    )
-    rows = []
-    worst_construct = 0.0
-    worst_numeric = 0.0
-    bounds = xi_ef(cfg.kind, np.array(xs)).tolist()
-    for x, p, e_num, bound in zip(xs, spectra, e_nums.tolist(), bounds):
-        state = max_ef_state(p)
-        e_built = entanglement_of_formation(state)
-        gap_built = bound - e_built
-        gap_num = bound - e_num
-        psi = purify(state)
-        c_pure = c_on_pure(psi, (4, psi.size // 4), cfg.kind)
-        rows.append([x, bound, e_built, gap_built, e_num, gap_num, c_pure])
-        worst_construct = max(worst_construct, abs(gap_built))
-        worst_numeric = max(worst_numeric, abs(gap_num))
+    rngs = [worker_rng(cfg.seed, i + 1) for i in range(len(xs))]
+    e_num, _ = _max_ef_orbit(q, restarts, iters, rngs)
+    _, w, u = validate_density_stack(_max_ef_states(q))
+    built = w[:, ::-1]
+    if not (np.abs(built - q) <= 1e-9).all():
+        raise VerificationError("constructed state does not have the requested spectrum")
+    e_built = v(_concurrence_eig(u, _on_support(w)))
+    c_pure = KINDS[cfg.kind].f(_probabilities(built))
+    bound = xi_ef(cfg.kind, xs)
+    gap_built, gap_num = bound - e_built, bound - e_num
+    rows = [list(row) for row in zip(*(a.tolist() for a in (
+        xs, bound, e_built, gap_built, e_num, gap_num, c_pure)))]
+    worst_construct = float(np.abs(gap_built).max())
+    worst_numeric = float(np.abs(gap_num).max())
     summary = {
         "max_gap_construct": worst_construct,
         "max_gap_numeric": worst_numeric,

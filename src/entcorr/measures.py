@@ -112,10 +112,16 @@ def s22_ef(p) -> float:
     return float(_s22(pad_spectrum(p, 4)))
 
 
+def _max_ef_states(q: np.ndarray) -> np.ndarray:
+    """States MAX_EF_BASIS diag(q) MAX_EF_BASIS^dagger for 4-spectra padded
+    with zeros, shaped (..., 4); unchecked."""
+    return (MAX_EF_BASIS * q[..., None, :]) @ MAX_EF_BASIS.conj().T
+
+
 def max_ef_state(p) -> np.ndarray:
     """Two-qubit state with spectrum p attaining E_f = ln 2 - s22_ef(p)."""
     q = pad_spectrum(p, 4)
-    rho = (MAX_EF_BASIS * q) @ MAX_EF_BASIS.conj().T
+    rho = _max_ef_states(q)
     got = np.sort(np.linalg.eigvalsh(rho))[::-1]
     if np.max(np.abs(got - q)) > 1e-9:
         raise RuntimeError("constructed state does not have the requested spectrum")

@@ -14,11 +14,16 @@ Fronts and kernels: a public function validates its input once, then calls
 unchecked kernels on stacks (..., d) or (..., d, d), one per rule:
 _on_support, _probabilities, _entropy, _distance, _partial_trace and
 _sqrt_psd. A checked state is diagonalised once, by the density validator,
-whose eigh every front and kernel reads. Package code holding checked data
-calls the kernels, and no other module names TOL_SUPPORT or TOL_ZERO.
+whose eigh every front and kernel reads. Package code holding checked data,
+or data it built in a valid form (a spectrum from _probabilities, a state
+from a stacked constructor), calls the kernels and validates each stack it
+builds at most once; no other module names TOL_SUPPORT or TOL_ZERO.
+validate_spectrum checks one spectrum, the input of a front.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -47,10 +52,12 @@ class CapacityError(DomainError):
 
 
 def _check_split(dim: int, split) -> tuple[int, int]:
-    """The split (d1, d2) as ints; DomainError unless both are positive and
-    d1 * d2 is the state dimension ``dim``."""
-    d1, d2 = split
-    d1, d2 = int(d1), int(d2)
+    """The split (d1, d2) as ints; DomainError unless both are integers,
+    positive, and d1 * d2 is the state dimension ``dim``."""
+    try:
+        d1, d2 = (operator.index(d) for d in split)
+    except (TypeError, ValueError):
+        raise DomainError(f"split must be two integers, got {split!r}") from None
     if d1 < 1 or d2 < 1:
         raise DomainError(f"split dimensions must be positive, got ({d1}, {d2})")
     if dim != d1 * d2:
@@ -122,31 +129,18 @@ def validate_pure_state(psi) -> np.ndarray:
 
 
 def validate_spectrum(p) -> np.ndarray:
-    return validate_spectrum_stack(np.asarray(p, dtype=float).ravel())
-
-
-def validate_spectrum_stack(p, kept=None) -> np.ndarray:
-    """Stack form of validate_spectrum: every row of an (..., k) array.
-
-    ``kept`` marks the components of each row, a prefix of it; the rest is
-    padding that the checks ignore. By default every entry is a component.
-    Every check is written so that a NaN component fails it.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] < 1 or (kept is not None and not kept[..., 0].all()):
+    """p as a 1-d float array; DomainError unless it is nonempty, strictly
+    positive, decreasing and sums to 1. Every check fails on NaN."""
+    p = np.asarray(p, dtype=float).ravel()
+    if p.size < 1:
         raise DomainError("empty spectrum")
-    if kept is None:
-        kept = kept_after = True
-    else:
-        kept_after = kept[..., 1:]
-    if (~(p > 0) & kept).any():
+    if not (p > 0).all():
         raise DomainError("spectrum components must be strictly positive")
-    if (~(np.diff(p) <= 1e-12) & kept_after).any():
+    if not (np.diff(p) <= 1e-12).all():
         raise DomainError("spectrum components must be in decreasing order")
-    sums = p.sum(axis=-1, where=kept)
-    dev = abs(sums - 1.0)
-    if not (dev <= TOL_TRACE).all():
-        raise DomainError(f"spectrum sums to {np.ravel(sums)[np.argmax(dev)]}, expected 1")
+    total = p.sum()
+    if not abs(total - 1.0) <= TOL_TRACE:
+        raise DomainError(f"spectrum sums to {total}, expected 1")
     return p
 
 

@@ -10,9 +10,11 @@ from entcorr.bounds import (
     _branch_terms,
     _g4_mutual_information,
     _isotropic,
+    _s22,
     _y_of_x,
     bound_curve,
     g_d_numeric,
+    optimal_slice_spectrum,
     spectrum_at_f,
     threshold,
     u,
@@ -349,6 +351,23 @@ def stack_levels(kind):
         levels += [2.03, 2.05, 2.054, 2.055, 2.056, 2.06, 2.08]
         levels += [end, np.nextafter(end, 0.0), np.nextafter(end, 3.0), end + 1e-9, end + 1e-3]
     return np.array(levels)
+
+
+class TestOptimalSliceSpectrum:
+    # 401 levels reach y = 3/4 and cross both breaks of u, y = 1/2 and y = 2/3
+    @pytest.mark.parametrize("kind", ["bures", "hellinger"])
+    def test_spectra_on_the_slice_attain_xi(self, kind):
+        xs = np.linspace(0.0, c_max(kind, 4), 401)
+        y = _y_of_x(kind, xs)
+        assert (y < 0.5).any() and ((y > 0.5) & (y < 2.0 / 3.0)).any() and (y > 2.0 / 3.0).any()
+        p = optimal_slice_spectrum(kind, xs)
+        assert p.shape == (401, 4)
+        assert (p[:, 0] > 0.0).all() and (p >= 0.0).all() and (np.diff(p, axis=1) <= 0.0).all()
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+        assert np.abs(kind_of(kind).f(p) - xs).max() <= 1e-12
+        assert np.abs((LN2 - _s22(p)) - xi_ef(kind, xs)).max() <= 1e-12
+        single = np.array([optimal_slice_spectrum(kind, float(x)) for x in xs])
+        assert np.array_equal(p, single)
 
 
 class TestStackedSolvers:

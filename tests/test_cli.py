@@ -4,13 +4,14 @@ import csv
 import json
 import math
 import os
+import sys
 import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from entcorr import cli
+from entcorr import cli, qcore
 from entcorr.bounds import xi_ef
 from entcorr.cli import main
 from entcorr.correlations import c_max, f_value
@@ -263,3 +264,32 @@ class TestTightness:
         rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
         assert len(rows) == 20
         assert all(float(row["ef_numeric"]) <= float(row["bound"]) + 1e-12 for row in rows)
+        assert all(abs(float(row["c_pure"]) - float(row["x"])) <= 1e-14 for row in rows)
+
+    def test_validates_the_built_states_once(self, tmp_path, monkeypatch):
+        shapes = []
+        check = qcore.validate_density_stack
+
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return check(rho)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("tightness re-checks data it built")
+
+        monkeypatch.setattr(qcore, "validate_density_stack", counted)
+        monkeypatch.setattr(cli, "validate_density_stack", counted)
+        for name, module in list(sys.modules.items()):
+            if name == "entcorr" or name.startswith("entcorr."):
+                for front in ("purify", "schmidt", "entanglement_of_formation"):
+                    if hasattr(module, front):
+                        monkeypatch.setattr(module, front, banned)
+        assert main(["tightness", "--grid", "5", "--out", str(tmp_path / "t.csv")]) == 0
+        assert shapes == [(5, 4, 4)]
+
+    def test_construction_miss_is_a_verification_error(self, tmp_path, capsys, monkeypatch):
+        # the maximally mixed state has the requested spectrum only at the last level
+        monkeypatch.setattr(cli, "_max_ef_states",
+                            lambda q: np.broadcast_to(np.eye(4) / 4, q.shape[:-1] + (4, 4)))
+        assert main(["tightness", "--grid", "5", "--out", str(tmp_path / "t.csv")]) == 4
+        assert "verification failed" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from entcorr.correlations import f_value
-from entcorr.measures import max_concurrence
+from entcorr.correlations import c_distance_numeric, f_value, mutual_information
+from entcorr.measures import max_concurrence, negativity
 from entcorr.qcore import (
     CapacityError,
     DomainError,
@@ -23,7 +23,6 @@ from entcorr.qcore import (
     validate_density_matrix,
     validate_density_stack,
     validate_spectrum,
-    validate_spectrum_stack,
     von_neumann_entropy,
     worker_rng,
     worker_seed,
@@ -133,6 +132,8 @@ class TestEntropies:
 
     def test_shannon_uniform(self):
         assert abs(shannon_entropy(np.full(4, 0.25)) - np.log(4)) < 1e-12
+        with pytest.raises(DomainError):  # a spectrum carries no zero component
+            validate_spectrum(np.array([0.5, 0.5, 0.0]))
 
 
 class TestDistances:
@@ -206,20 +207,6 @@ class TestStackValidators:
         stack = np.stack([rho, rho.conj()])
         assert validate_density_stack(stack.swapaxes(-1, -2)) is not None
 
-    def test_spectrum_stack_ignores_padding_only(self):
-        p = np.array([[0.5, 0.5, 0.0], [0.6, 0.3, 0.1]])
-        kept = p > 0.0
-        assert validate_spectrum_stack(p, kept) is p
-        with pytest.raises(DomainError):
-            validate_spectrum_stack(p, np.ones_like(kept))  # a kept zero
-        for row in ([0.3, 0.7, 0.0], [0.5, 0.4, 0.0], [0.0, 0.0, 0.0]):
-            bad = p.copy()
-            bad[0] = row
-            with pytest.raises(DomainError):
-                validate_spectrum_stack(bad, kept)
-        with pytest.raises(DomainError):
-            validate_spectrum(np.array([0.5, 0.5, 0.0]))
-
 
 class TestNaNInputs:
     # NaN fails every comparison, so each check is written to fail on it
@@ -228,8 +215,8 @@ class TestNaNInputs:
         lambda: max_concurrence([np.nan, 0.5]),
         lambda: f_value("bures", [0.6, 0.4, np.nan]),
         lambda: strictly_correlated_cc([0.5, np.nan], 2, 2),
-        lambda: validate_spectrum_stack(np.array([[0.5, 0.5], [np.nan, 0.5]])),
-    ], ids=["shannon", "max_concurrence", "f_db", "cc_state", "spectrum_stack"])
+        lambda: validate_spectrum(np.array([0.5, np.nan, 0.5])),
+    ], ids=["shannon", "max_concurrence", "f_db", "cc_state", "validate_spectrum"])
     def test_raises_domain_error(self, call):
         with pytest.raises(DomainError):
             call()
@@ -278,6 +265,17 @@ class TestConstructors:
         with pytest.raises(DomainError):
             partial_trace(np.eye(2) / 2, (0, 2), keep=1)
         assert partial_trace(np.eye(16) / 16, (2, 8), keep=2).shape == (8, 8)
+
+    @pytest.mark.parametrize("call", [
+        lambda: partial_trace(np.eye(4) / 4, (2.5, 2), 1),
+        lambda: schmidt(BELL, (2.9, 2.2)),
+        lambda: mutual_information(np.eye(4) / 4, (2, 2.0)),
+        lambda: negativity(np.eye(4) / 4, (np.float64(2.0), 2)),
+        lambda: c_distance_numeric(np.eye(4) / 4, (2.5, 2), "hellinger"),
+    ], ids=["partial_trace", "schmidt", "mutual_information", "negativity", "c_distance_numeric"])
+    def test_non_integer_split_is_rejected(self, call):
+        with pytest.raises(DomainError):
+            call()
 
     def test_cc_state_is_diagonal(self):
         rho = strictly_correlated_cc(np.array([0.5, 0.3, 0.2]), 3, 4)
