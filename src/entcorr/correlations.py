@@ -154,10 +154,12 @@ def _hellinger_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, 
     identity onto the top right-singular subspace, is a PSD Y^T attaining
     s1; this holds for a degenerate s1 as well.
 
-    Singular values within 1e-12 s1 count as one subspace. For a relative
-    gap below s1 between 1e-12 and 1e-8 the value stays exact, but the SVD
-    resolves the top vector only to about 1e-16 / gap, and the witness's
-    distance can miss the value by up to 1.55e-8.
+    The distance sqrt(2 - 2 s1) is taken as _distance_sv(s), which does not
+    cancel at a product target, where s1 = 1. Singular values within 1e-12
+    s1 count as one subspace. For a relative gap below s1 between 1e-12 and
+    1e-8 the value stays exact, but the SVD resolves the top vector only to
+    about 1e-16 / gap, and the witness's distance can miss the value by up
+    to 1.55e-8.
     """
     r = _sqrt_psd(w, v).reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3)
     r = r.reshape(d_a * d_a, d_b * d_b)
@@ -166,7 +168,14 @@ def _hellinger_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, 
     yt = top.conj().T @ (top @ np.eye(d_b).ravel())
     x = (r @ yt).reshape(d_a, d_a)
     sigma_a, sigma_b = (_square_unit(m) for m in (x, yt.reshape(d_b, d_b).T))
-    return _distance(s[0]), sigma_a, sigma_b
+    return _distance_sv(s), sigma_a, sigma_b
+
+
+def _distance_sv(s: np.ndarray):
+    """sqrt(2 - 2 s1) from the decreasing singular values s of a matrix of
+    unit Frobenius norm, as sqrt((1 - s1)^2 + sum_{i>=2} s_i^2): the two are
+    equal since sum_i s_i^2 = 1, and the second does not cancel at s1 = 1."""
+    return np.sqrt((1.0 - s[0]) ** 2 + s[1:] @ s[1:])
 
 
 def _square_unit(m: np.ndarray) -> np.ndarray:
@@ -290,7 +299,7 @@ def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b:
         psi = v[:, -1].reshape(d_a, d_b)
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
-        return _distance(s[0]), sigma_a, sigma_b
+        return _distance_sv(s), sigma_a, sigma_b
     starts_a = [_partial_trace(rho, d_a, d_b, 1), np.eye(d_a) / d_a]
     starts_b = [_partial_trace(rho, d_a, d_b, 2), np.eye(d_b) / d_b]
     for _ in range(2, restarts):
@@ -317,6 +326,9 @@ def c_distance_numeric(
     Hellinger is exact on every target: sqrt(2 (1 - s1)), with s1 the
     largest singular value of the realigned sqrt(rho). Bures is exact on
     pure targets: sqrt(2 (1 - s1)), with s1 the top Schmidt coefficient.
+    Both take it as sqrt((1 - s1)^2 + sum_{i>=2} s_i^2) over all singular
+    values s_i, which is equal since sum_i s_i^2 = 1, and reads 0 to
+    rounding at a product target, where the first form cancels.
     Bures on mixed targets runs ``restarts`` monotone ascents of the root
     fidelity (diluted Hradil steps; a factor gives up once its step is at
     most 1e-12 or a failed trial ties the current fidelity within 1e-15

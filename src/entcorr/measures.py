@@ -12,7 +12,10 @@ entanglement of formation compatible with a given eigenvalue vector. An
 explicit state attains it, and an independent, deterministic oracle
 checks it: a quasi-Newton ascent of mu1 - mu2 - mu3 - mu4 over the
 unitary orbit of the spectrum, with an analytic gradient, which errs low
-and returns its unitary as a witness.
+and returns its unitary as a witness. On a spectrum of rank r = 2 or 3
+the maximum lies on the kink mu_r = 0; a chain near it climbs along that
+face with a Newton step onto it, and reaches the cap to rounding, except
+where the two largest eigenvalues nearly coincide.
 """
 
 from __future__ import annotations
@@ -147,11 +150,14 @@ _BASIS = _BASIS.reshape(16, 16)
 _EYE16 = np.eye(16)
 
 # Quasi-Newton ascent: the default budget of chains per spectrum and steps
-# per chain, Armijo constant, halvings per line search, largest step norm,
-# curvature needed for an update, the stopping gradient, and the relative
-# resolution of F below which a rise is rounding noise.
+# per chain, Armijo constant, the ratio mu_r / (mu_{r-1} - mu_r) below
+# which a chain on a spectrum of rank r = 2 or 3 steps onto the face
+# mu_r = 0, halvings per line search, largest step norm, curvature needed
+# for an update, the stopping gradient, and the relative resolution of F
+# below which a rise is rounding noise.
 _ORBIT_RESTARTS, _ORBIT_ITERS = 8, 300
 _ARMIJO = 1e-4
+_FACE = 0.1
 _HALVINGS = 40
 _MAX_STEP = 1.0
 _CURVATURE = 1e-14
@@ -159,21 +165,41 @@ _GRAD_TOL = 1e-10
 _F_RESOLUTION = 1e-15
 
 
+def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m for rows x (..., 16), each row rounded the same in any stack:
+    BLAS multiplies a lone row by another kernel than a stack of rows, so a
+    lone row is multiplied as a stack of two."""
+    rows = x.reshape(-1, 16)
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ m)[0].reshape(x.shape[:-1] + (16,))
+    return (rows @ m).reshape(x.shape[:-1] + (16,))
+
+
 def _coords(g: np.ndarray) -> np.ndarray:
     """Coordinates (..., 16) in _BASIS of the Hermitian part of matrices
     (..., 4, 4): Re tr(G E_j), which equals Re tr(G^dagger E_j)."""
-    return (g.reshape(g.shape[:-2] + (16,)) @ _BASIS.conj().T).real
+    return _rows_times(g.reshape(g.shape[:-2] + (16,)), _BASIS.conj().T).real
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
     """Hermitian matrices (..., 4, 4) with coordinates h (..., 16); inverse of _coords."""
-    return (h @ _BASIS).reshape(h.shape[:-1] + (4, 4))
+    return _rows_times(h, _BASIS).reshape(h.shape[:-1] + (4, 4))
 
 
 def _rotate(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """exp(iH) U for stacks of unitaries and generator coordinates h."""
     w, vmat = np.linalg.eigh(_hermitian(h))
     return (vmat * np.exp(1j * w)[..., None, :]) @ (vmat.conj().swapaxes(-1, -2) @ u)
+
+
+def _orbit_vectors(u: np.ndarray, q: np.ndarray):
+    """The Wootters mu (..., 4) of the orbit points U diag(q) U^dagger and
+    the columns [w|x] and [Mx|Mw] (..., 4, 8) of their gradient terms (see
+    _orbit_objective)."""
+    a, mu, vh = np.linalg.svd(_wootters_matrix(u, q))
+    r = np.sqrt(q)[..., :, None]
+    wx = u @ (r * np.concatenate([a.conj(), vh.conj().swapaxes(-1, -2)], axis=-1))
+    return mu, wx, (_YY_ROW_SIGN * wx[..., ::-1, :])[..., _HALF_SWAP]
 
 
 def _orbit_objective(u: np.ndarray, q: np.ndarray):
@@ -183,18 +209,59 @@ def _orbit_objective(u: np.ndarray, q: np.ndarray):
     The mu_k are the singular values of B = sqrt(q) U^T M U sqrt(q), M =
     Y x Y (_wootters_matrix). For a simple mu_k with singular vectors
     a_k and v_k, d mu_k = Re(a_k^dagger dB v_k); with w = U sqrt(q) conj(a_k)
-    and x = U sqrt(q) v_k this is Re tr(dH K_k), K_k = i (w (Mx)^T + x (Mw)^T).
-    The gradient is the Hermitian part of the signed sum of the K_k. With
-    S the signs, that sum is i [w|x] S [Mx|Mw]^T: one product forms [w|x],
-    one more the sum, and _coords keeps its Hermitian part.
+    and x = U sqrt(q) v_k, a_k^dagger dB v_k = tr(dH K_k), K_k = i (w (Mx)^T
+    + x (Mw)^T). The gradient is the Hermitian part of the signed sum of the
+    K_k. With S the signs, that sum is i [w|x] S [Mx|Mw]^T: one product
+    forms [w|x], one more the sum, and _coords keeps its Hermitian part.
     """
-    a, mu, vh = np.linalg.svd(_wootters_matrix(u, q))
+    mu, wx, mwx = _orbit_vectors(u, q)
     m = mu.T
     f = (m[0] - m[1] - m[2] - m[3]).T
-    r = np.sqrt(q)[..., :, None]
-    wx = u @ (r * np.concatenate([a.conj(), vh.conj().swapaxes(-1, -2)], axis=-1))
-    mwx = (_YY_ROW_SIGN * wx[..., ::-1, :])[..., _HALF_SWAP]
     return f, _coords(1j * ((wx * _MU_SIGN2) @ mwx.swapaxes(-1, -2)))
+
+
+def _orbit_face(u: np.ndarray, q: np.ndarray, k):
+    """The Wootters mu (..., 4) and the Jacobian J (..., 2, 16) of the
+    complex a_r^dagger B v_r in the generator coordinates, for mu_r with
+    index k (0-based, an int or one per point) and its singular vectors
+    a_r and v_r held at U: row 0 is Re, the gradient of mu_r (the
+    coordinates of K_r of _orbit_objective), and row 1 is Im, those of
+    -i K_r. K_r is the product that sums K_k in _orbit_objective, with the
+    signs replaced by a selector of columns k and k + 4."""
+    mu, wx, mwx = _orbit_vectors(u, q)
+    pick = np.tile(np.arange(4) == np.asarray(k)[..., None], 2)
+    kr = 1j * ((wx * pick[..., None, :]) @ mwx.swapaxes(-1, -2))
+    return mu, _coords(np.stack([kr, -1j * kr], axis=-3))
+
+
+def _face_step(u: np.ndarray, q: np.ndarray, g: np.ndarray):
+    """Face data of orbit points on spectra of rank r = 2 or 3, with g
+    their gradient of F. Returns whether each point is on the face,
+    mu_r < _FACE (mu_{r-1} - mu_r) with J of full rank; the gradient to
+    climb; the lift, mu_r on the face and 0 off it; J of _orbit_face and
+    its pseudo-inverse J+; and mu_r.
+
+    On the face F + mu_r is smooth. The gradient to climb is its gradient
+    projected onto the null space of J, which is the projection of g,
+    since the gradient of mu_r is row 0 of J; and -mu_r J+[:, 0] is the
+    Newton step onto mu_r = 0. J vanishes where the SVD takes the singular
+    vectors of mu_r = 0 off the support of q, as at the identity on rank
+    3. Off the face J and J+ are zeros and g is kept, so every product with
+    them leaves a plain BFGS step as it is.
+    """
+    k = (q > 0.0).sum(axis=1) - 1
+    mu, jac = _orbit_face(u, q, k)
+    before, mu_r = np.take_along_axis(mu, k[:, None] - np.array([1, 0]), axis=1).T
+    # J+ = J^T (J J^T)^-1, with the 2 x 2 inverse written out
+    gram = jac @ jac.swapaxes(-1, -2)
+    a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
+    det = a * c - b * b
+    on = (mu_r < _FACE * (before - mu_r)) & (det > 0.0)
+    jac = np.where(on[:, None, None], jac, 0.0)
+    inv = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2) / np.where(on, det, 1.0)[:, None, None]
+    jp = jac.swapaxes(-1, -2) @ inv
+    g = g - (jp @ (jac @ g[:, :, None]))[:, :, 0]
+    return on, g, np.where(on, mu_r, 0.0), jac, jp, mu_r
 
 
 def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
@@ -214,6 +281,22 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     reset to the identity when its direction is not an ascent. A chain
     stops after ``iters`` steps, at a gradient norm below _GRAD_TOL, or
     when its line search fails.
+
+    On a spectrum of rank r = 2 or 3 the mu beyond r vanish, and the
+    maximum of F lies on the kink mu_r = 0, where plain BFGS only creeps. A
+    chain there whose mu_r < _FACE (mu_{r-1} - mu_r) is on the face
+    (_face_step): it climbs the smooth F + mu_r by BFGS on that gradient
+    projected onto the null space of J, the Jacobian of the complex
+    a_r^dagger B v_r whose zero is the face, with its direction projected
+    there too, and its trial steps are t d + (t / t0) h_N, with h_N =
+    -J+ (mu_r, 0) the Newton step onto mu_r = 0 and t0 the first t of the
+    line search. The Armijo test and the resolution stop count the
+    predicted rise t * slope + (t / t0) mu_r, the update sees the part
+    t d, the inverse Hessian resets to the identity when the chain enters
+    or leaves the face, and the gradient stop reads the projected gradient
+    norm plus mu_r. Such a chain also stops once an accepted step raises F
+    by less than F's resolution while mu_r is below it too. Chains on
+    spectra of rank 1 or 4 take none of these steps.
 
     Chain 0 of each spectrum starts at the identity, the others at Haar
     unitaries drawn in turn from its generator. All P x restarts chains
@@ -235,13 +318,21 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     d = np.zeros((chains, 16))
     slope, t = np.zeros(chains), np.zeros(chains)
     halvings, steps = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)
+    # Face data (_face_step); zeros on chains off the face.
+    kinked = np.isin((q > 0.0).sum(axis=1), (2, 3))
+    face, lift = np.zeros(chains, dtype=bool), np.zeros(chains)
+    jac, jp = np.zeros((chains, 2, 16)), np.zeros((chains, 16, 2))
+    c = np.flatnonzero(kinked)
+    face[c], g[c], lift[c], jac[c], jp[c], _ = _face_step(u[c], q[c], g[c])
     # Every round makes one trial step on each chain still searching, so a
     # chain's line search does not wait for the others'.
     fresh, live = np.arange(chains), np.arange(0)
     while True:
-        fresh = fresh[(steps[fresh] < iters) & (np.sqrt((g[fresh] ** 2).sum(axis=1)) >= _GRAD_TOL)]
+        fresh = fresh[(steps[fresh] < iters)
+                      & (np.sqrt((g[fresh] ** 2).sum(axis=1)) + lift[fresh] >= _GRAD_TOL)]
         if fresh.size:
             df = (hinv[fresh] @ g[fresh][:, :, None])[:, :, 0]
+            df -= (jp[fresh] @ (jac[fresh] @ df[:, :, None]))[:, :, 0]
             sf = (g[fresh] * df).sum(axis=1)
             reset = sf <= 0.0
             hinv[fresh[reset]] = _EYE16
@@ -252,27 +343,38 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
             live = np.concatenate([live, fresh])
         if live.size == 0:
             break
-        step = t[live, None] * d[live]
-        u_try = _rotate(u[live], step)
+        newton = 0.5 ** halvings[live] * lift[live]  # (t / t0) mu_r
+        rise = t[live] * slope[live] + newton
+        u_try = _rotate(u[live], t[live, None] * d[live] - newton[:, None] * jp[live, :, 0])
         f_try, g_try = _orbit_objective(u_try, q[live])
-        ok = f_try >= f[live] + _ARMIJO * t[live] * slope[live]
-        moved = live[ok]
-        s, y = step[ok], g[moved] - g_try[ok]  # y: the change of the gradient of -F
+        ok = f_try >= f[live] + _ARMIJO * rise
+        moved, f_try, g_try = live[ok], f_try[ok], g_try[ok]
+        stop = np.zeros(moved.size, dtype=bool)
+        was_on = face[moved]
+        kink = kinked[moved]
+        if kink.any():
+            c = moved[kink]
+            face[c], g_try[kink], lift[c], jac[c], jp[c], mu_r = _face_step(u_try[ok][kink], q[c], g_try[kink])
+            res = _F_RESOLUTION * np.maximum(1.0, np.abs(f_try[kink]))
+            stop[kink] = (f_try[kink] - f[c] < res) & (mu_r < res)
+        switched = face[moved] != was_on
+        hinv[moved[switched]] = _EYE16
+        s, y = t[moved, None] * d[moved], g[moved] - g_try  # y: the change of the gradient of -F
         sy = (s * y).sum(axis=1)
-        upd = sy > _CURVATURE
+        upd = (sy > _CURVATURE) & ~switched
         if upd.any():
             c, s, y, rho = moved[upd], s[upd], y[upd], 1.0 / sy[upd, None, None]
             e = _EYE16 - rho * s[:, :, None] * y[:, None, :]
             hinv[c] = e @ hinv[c] @ e.swapaxes(-1, -2) + rho * s[:, :, None] * s[:, None, :]
-        u[moved], f[moved], g[moved] = u_try[ok], f_try[ok], g_try[ok]
+        u[moved], f[moved], g[moved] = u_try[ok], f_try, g_try
         steps[moved] += 1
-        live = live[~ok]
+        live, rise = live[~ok], rise[~ok]
         # below F's resolution a later Armijo pass would be rounding noise
-        resolved = t[live] * slope[live] >= _F_RESOLUTION * np.maximum(1.0, np.abs(f[live]))
+        resolved = rise >= _F_RESOLUTION * np.maximum(1.0, np.abs(f[live]))
         halvings[live] += 1
         t[live] *= 0.5
         live = live[resolved & (halvings[live] <= _HALVINGS)]
-        fresh = moved
+        fresh = moved[~stop]
     value = bounds.v(_concurrence_eig(u, q)).reshape(points, restarts)
     best = np.argmax(value, axis=1)
     point = np.arange(points)
@@ -297,8 +399,13 @@ def max_ef_over_spectrum_numeric(
     MAX_EF_BASIS, it serves as their oracle. The value is E_f at the best
     chain's last unitary U, which is its witness (see _max_ef_orbit),
     evaluated to about 1e-15. So it errs low up to rounding: it does not
-    exceed ln 2 - s22_ef(p) by more than that. It falls short where a
-    chain stalls, as at a kink where singular values coincide.
+    exceed ln 2 - s22_ef(p) by more than that. On a spectrum of rank r = 2
+    or 3, whose maximum lies on the kink mu_r = 0, a chain near that face
+    climbs along it with a Newton step onto it (see _max_ef_orbit). The
+    value falls short where every chain ends elsewhere: on rank-3 spectra
+    whose two largest eigenvalues lie within about 1e-3, the face is nearly
+    flat, and chains can end near the point that pairs the second with the
+    third (misses up to 1.1e-4 in E_f were seen).
     """
     q = pad_spectrum(p, 4)
     if restarts < 1:

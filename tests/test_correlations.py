@@ -159,6 +159,17 @@ class TestCDistanceNumeric:
             val = c_distance_numeric(rho, (2, 2), kind, restarts=2, rng=worker_rng(3, 1))
             assert val < 1e-6
 
+    def test_exact_distances_of_product_targets_do_not_cancel(self):
+        # sqrt(2 - 2 s1) read up to 4.7e-8 here, with s1 a few ulps below 1
+        zero = np.eye(4)[0]
+        pure = np.kron(projector(BELL), np.outer(zero, zero))
+        for kind in ("bures", "hellinger"):
+            assert c_distance_numeric(pure, (4, 4), kind) <= 1e-14
+        rng = worker_rng(5)
+        for _ in range(20):
+            mixed = np.kron(random_density(4, 4, rng), random_density(4, 4, rng))
+            assert c_distance_numeric(mixed, (4, 4), "hellinger") <= 1e-14
+
     def test_pure_states_match_closed_form(self):
         for i in range(10):
             psi = haar_pure(8, RNG)
