@@ -16,10 +16,13 @@ the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 
 Every level is checked once, by _check_domain, and every level search is
 one stacked bisection, _on_level, on a one-parameter family of spectra:
-spectrum_at_f on the isotropic line for every kind, the mutual-information
-solver on its two families. Each level halves its own interval until no
-double lies strictly inside, then keeps the end closer to its level, the
-lower one on a tie.
+the mutual-information solver on its two families, and the library
+function spectrum_at_f on the isotropic line for every kind. Each level
+halves its own interval until no double lies strictly inside, then keeps
+the end closer to its level, the lower one on a tie. The distance kinds'
+slice witness, optimal_slice_spectrum, needs no search: it is closed-form,
+and it builds the states of both the tightness and the classical-classical
+checks.
 
 xi_ef, g_d_numeric and bound_curve take arrays of levels; the slice
 solvers run them as one stack, each level with the bits it has alone.

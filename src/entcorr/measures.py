@@ -203,8 +203,9 @@ def _orbit_vectors(u: np.ndarray, q: np.ndarray):
 
 
 def _orbit_objective(u: np.ndarray, q: np.ndarray):
-    """F(U) = mu1 - mu2 - mu3 - mu4, unclipped, and its gradient coordinates
-    for the step U <- exp(iH) U, for stacks of unitaries and spectra.
+    """F(U) = mu1 - mu2 - mu3 - mu4, unclipped, its gradient coordinates
+    for the step U <- exp(iH) U, and the vectors (mu, [w|x], [Mx|Mw]) of
+    _orbit_vectors they were read from, for stacks of unitaries and spectra.
 
     The mu_k are the singular values of B = sqrt(q) U^T M U sqrt(q), M =
     Y x Y (_wootters_matrix). For a simple mu_k with singular vectors
@@ -214,29 +215,31 @@ def _orbit_objective(u: np.ndarray, q: np.ndarray):
     K_k. With S the signs, that sum is i [w|x] S [Mx|Mw]^T: one product
     forms [w|x], one more the sum, and _coords keeps its Hermitian part.
     """
-    mu, wx, mwx = _orbit_vectors(u, q)
+    mu, wx, mwx = vectors = _orbit_vectors(u, q)
     m = mu.T
     f = (m[0] - m[1] - m[2] - m[3]).T
-    return f, _coords(1j * ((wx * _MU_SIGN2) @ mwx.swapaxes(-1, -2)))
+    return f, _coords(1j * ((wx * _MU_SIGN2) @ mwx.swapaxes(-1, -2))), vectors
 
 
-def _orbit_face(u: np.ndarray, q: np.ndarray, k):
+def _orbit_face(vectors, k):
     """The Wootters mu (..., 4) and the Jacobian J (..., 2, 16) of the
-    complex a_r^dagger B v_r in the generator coordinates, for mu_r with
+    complex a_r^dagger B v_r in the generator coordinates, from the
+    vectors (mu, [w|x], [Mx|Mw]) of _orbit_objective at U, for mu_r with
     index k (0-based, an int or one per point) and its singular vectors
     a_r and v_r held at U: row 0 is Re, the gradient of mu_r (the
     coordinates of K_r of _orbit_objective), and row 1 is Im, those of
     -i K_r. K_r is the product that sums K_k in _orbit_objective, with the
     signs replaced by a selector of columns k and k + 4."""
-    mu, wx, mwx = _orbit_vectors(u, q)
+    mu, wx, mwx = vectors
     pick = np.tile(np.arange(4) == np.asarray(k)[..., None], 2)
     kr = 1j * ((wx * pick[..., None, :]) @ mwx.swapaxes(-1, -2))
     return mu, _coords(np.stack([kr, -1j * kr], axis=-3))
 
 
-def _face_step(u: np.ndarray, q: np.ndarray, g: np.ndarray):
-    """Face data of orbit points on spectra of rank r = 2 or 3, with g
-    their gradient of F. Returns whether each point is on the face,
+def _face_step(vectors, q: np.ndarray, g: np.ndarray):
+    """Face data of orbit points on spectra of rank r = 2 or 3, with
+    ``vectors`` and g their vectors and gradient of F from
+    _orbit_objective. Returns whether each point is on the face,
     mu_r < _FACE (mu_{r-1} - mu_r) with J of full rank; the gradient to
     climb; the lift, mu_r on the face and 0 off it; J of _orbit_face and
     its pseudo-inverse J+; and mu_r.
@@ -250,7 +253,7 @@ def _face_step(u: np.ndarray, q: np.ndarray, g: np.ndarray):
     them leaves a plain BFGS step as it is.
     """
     k = (q > 0.0).sum(axis=1) - 1
-    mu, jac = _orbit_face(u, q, k)
+    mu, jac = _orbit_face(vectors, k)
     before, mu_r = np.take_along_axis(mu, k[:, None] - np.array([1, 0]), axis=1).T
     # J+ = J^T (J J^T)^-1, with the 2 x 2 inverse written out
     gram = jac @ jac.swapaxes(-1, -2)
@@ -313,7 +316,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
         for r in range(1, restarts):
             u[i * restarts + r] = haar_unitary(4, rng)
     q = np.repeat(q, restarts, axis=0)
-    f, g = _orbit_objective(u, q)
+    f, g, vectors = _orbit_objective(u, q)
     hinv = np.tile(_EYE16, (chains, 1, 1))
     d = np.zeros((chains, 16))
     slope, t = np.zeros(chains), np.zeros(chains)
@@ -323,7 +326,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     face, lift = np.zeros(chains, dtype=bool), np.zeros(chains)
     jac, jp = np.zeros((chains, 2, 16)), np.zeros((chains, 16, 2))
     c = np.flatnonzero(kinked)
-    face[c], g[c], lift[c], jac[c], jp[c], _ = _face_step(u[c], q[c], g[c])
+    face[c], g[c], lift[c], jac[c], jp[c], _ = _face_step([a[c] for a in vectors], q[c], g[c])
     # Every round makes one trial step on each chain still searching, so a
     # chain's line search does not wait for the others'.
     fresh, live = np.arange(chains), np.arange(0)
@@ -346,7 +349,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
         newton = 0.5 ** halvings[live] * lift[live]  # (t / t0) mu_r
         rise = t[live] * slope[live] + newton
         u_try = _rotate(u[live], t[live, None] * d[live] - newton[:, None] * jp[live, :, 0])
-        f_try, g_try = _orbit_objective(u_try, q[live])
+        f_try, g_try, vectors = _orbit_objective(u_try, q[live])
         ok = f_try >= f[live] + _ARMIJO * rise
         moved, f_try, g_try = live[ok], f_try[ok], g_try[ok]
         stop = np.zeros(moved.size, dtype=bool)
@@ -354,7 +357,8 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
         kink = kinked[moved]
         if kink.any():
             c = moved[kink]
-            face[c], g_try[kink], lift[c], jac[c], jp[c], mu_r = _face_step(u_try[ok][kink], q[c], g_try[kink])
+            vectors = [a[ok][kink] for a in vectors]
+            face[c], g_try[kink], lift[c], jac[c], jp[c], mu_r = _face_step(vectors, q[c], g_try[kink])
             res = _F_RESOLUTION * np.maximum(1.0, np.abs(f_try[kink]))
             stop[kink] = (f_try[kink] - f[c] < res) & (mu_r < res)
         switched = face[moved] != was_on

@@ -244,6 +244,35 @@ class TestCCBound:
         rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
         assert len(rows) == 20
         assert all(abs(float(row["c_gap"])) <= 1e-12 for row in rows)
+        # the states come from the closed-form slice witness, so c_gap stays at
+        # rounding on a fine grid too, near x = 0 included
+        text = run_to_text(tmp_path, "fine.csv", ["ccbound", "--grid", "2000"])
+        rows = list(csv.DictReader(ln for ln in text.splitlines() if not ln.startswith("#")))
+        assert len(rows) == 2000
+        assert all(abs(float(row["c_gap"])) <= 1e-15 for row in rows)
+        assert all(float(row["ef_a"]) <= float(row["zeta"]) for row in rows)
+
+    def test_validates_the_built_states_once(self, tmp_path, monkeypatch):
+        shapes = []
+        check = qcore.validate_density_stack
+
+        def counted(rho):
+            shapes.append(np.shape(rho))
+            return check(rho)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("ccbound re-checks data it built")
+
+        monkeypatch.setattr(qcore, "validate_density_stack", counted)
+        monkeypatch.setattr(cli, "validate_density_stack", counted)
+        for name, module in list(sys.modules.items()):
+            if name == "entcorr" or name.startswith("entcorr."):
+                for front in ("c_distance_numeric", "entanglement_of_formation",
+                              "strictly_correlated_cc", "spectrum_at_f"):
+                    if hasattr(module, front):
+                        monkeypatch.setattr(module, front, banned)
+        assert main(["ccbound", "--grid", "5", "--out", str(tmp_path / "cc.csv")]) == 0
+        assert shapes == [(5, 16, 16)]
 
 
 class TestTightness:
