@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -77,8 +76,8 @@ class RunConfig:
     format: str = "csv"
     full: bool = False
     workers: int = 1
-    # Optimizer budgets; None picks the per-command defaults. Not exposed
-    # as CLI flags (the flag set is fixed for reproducibility).
+    # Nothing reads these two; they stay only as null in the JSON "config"
+    # block, whose bytes record every field.
     opt_restarts: int | None = None
     opt_iters: int | None = None
 
@@ -109,41 +108,37 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _meta_lines(cfg: RunConfig, **extra) -> list[str]:
-    items = {
-        "command": cfg.command,
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "grid": cfg.grid,
-        "version": __version__,
-        **extra,
-    }
-    return [f"# {k}={v}" for k, v in items.items()]
+def _emit(cfg: RunConfig, columns: dict, summary: dict, records: bool = True, **meta) -> None:
+    """Write the table as CSV, or as JSON with the summary.
 
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
+    ``columns`` maps each header name to its column: a numpy array, or a
+    sequence of one value per row (a range for idx, tuples for spectra).
+    Rows are formed here alone, by zipping the columns' ``tolist()``, and
+    only when ``records`` is true; JSON leaves out "records" otherwise.
+    """
+    rows = ()
+    if records:
+        rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()])
+    if cfg.format == "csv":
+        items = {"command": cfg.command, "kind": cfg.kind, "seed": cfg.seed, "grid": cfg.grid,
+                 "version": __version__, **meta}
+        lines = [f"# {k}={v}" for k, v in items.items()]
+        lines.append(",".join(columns))
+        lines.extend(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
+                     for row in rows)
+        del rows  # frees the column lists before the text is joined
+        lines.append("")  # the final LF, without a second copy of the text
+        text = "\n".join(lines)
+    else:
+        report = {"config": asdict(cfg), "summary": summary}
+        if records:
+            report["records"] = [dict(zip(columns, row)) for row in rows]
+        text = json.dumps(report, indent=2) + "\n"
+    if cfg.out is None:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _emit(cfg: RunConfig, header: list[str], rows: Iterable[Sequence] | None,
-          summary: dict, **meta) -> None:
-    """Write the rows as CSV, or as JSON with the summary; JSON leaves out
-    "records" when rows is None."""
-    if cfg.format == "csv":
-        lines = _meta_lines(cfg, **meta)
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]))
-        _write_text(cfg.out, "\n".join(lines) + "\n")
-        return
-    report = {"config": asdict(cfg), "summary": summary}
-    if rows is not None:
-        report["records"] = [dict(zip(header, row)) for row in rows]
-    _write_text(cfg.out, json.dumps(report, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -152,28 +147,29 @@ def _emit(cfg: RunConfig, header: list[str], rows: Iterable[Sequence] | None,
 
 def run_curve(cfg: RunConfig) -> None:
     curve = bound_curve(cfg.kind, cfg.grid)
-    rows = [[float(x), float(b)] for x, b in zip(curve.xs, curve.bounds)]
     summary = {
         "x_max": float(curve.xs[-1]),
         "bound_at_zero": float(curve.bounds[0]),
         "bound_at_max": float(curve.bounds[-1]),
     }
-    _emit(cfg, ["x", "bound"], rows, summary)
+    _emit(cfg, {"x": curve.xs, "bound": curve.bounds}, summary)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_chunk(args) -> list[tuple]:
-    """Records (x, e, bound, slack, spectrum) of ``count`` Haar samples.
+def _verify_chunk(args) -> tuple[np.ndarray, ...]:
+    """Columns (x, e, bound, lam) of ``count`` Haar samples: the level, the
+    E_f of A, the bound at the level, and the spectrum padded with zeros,
+    shaped (count,) and (count, min(4, dim_b)).
 
     Stream order: the samples run in blocks of ``rows``, and each block
     draws one (rows, 2, 4, dim_b) array of normals, sample by sample the real
     then the imaginary part. Consecutive blocks therefore consume ``stream``
-    in the order of drawing one sample at a time, and the records do not
+    in the order of drawing one sample at a time, and the columns do not
     depend on the block size. Every step is a stacked form of the one-sample
-    step with the same rounding, so the records equal those of the
+    step with the same rounding, so the columns equal those of the
     one-sample loop bit for bit.
 
     The bound is xi_ef at each sample's own x, one call per block, for
@@ -182,14 +178,14 @@ def _verify_chunk(args) -> list[tuple]:
     Memory: ``rows`` is ``_VERIFY_BLOCK_ENTRIES`` over the entries of one
     sample's 4 x max(dim_b, 4) matrices, at least 1, so a block's arrays hold
     about that many complex entries, or one sample's when dim_b is larger,
-    whatever dim_b and ``count`` are. Only the returned records grow with
-    ``count``.
+    whatever dim_b and ``count`` are. Only the returned arrays grow with
+    ``count``, by at most 56 bytes a sample.
     """
     kind, dim_b, count, seed, stream = args
     rng = worker_rng(seed, stream)
     xmax = c_max(kind, 4)
     rows = max(1, _VERIFY_BLOCK_ENTRIES // (4 * max(dim_b, 4)))
-    out = []
+    blocks = []
     for done in range(0, count, rows):
         g = rng.standard_normal((min(rows, count - done), 2, 4, dim_b))
         z = g[:, 0] + 1j * g[:, 1]
@@ -201,11 +197,8 @@ def _verify_chunk(args) -> list[tuple]:
         x = np.minimum(KINDS[kind].f(lam), xmax)
         _, w, u = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
         e = v(_concurrence_eig(u, _on_support(w)))
-        bound = np.broadcast_to(np.asarray(xi_ef(kind, x), dtype=float), x.shape)
-        sizes = (lam > 0.0).sum(axis=-1).tolist()
-        spectra = (tuple(row[:n]) for row, n in zip(lam.tolist(), sizes))
-        out.extend(zip(x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist(), spectra))
-    return out
+        blocks.append((x, e, xi_ef(kind, x), lam))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
 def run_verify(cfg: RunConfig) -> None:
@@ -226,23 +219,27 @@ def run_verify(cfg: RunConfig) -> None:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(_verify_chunk, jobs))  # index-ordered merge
 
-    records = [item for chunk in chunks for item in chunk]
-    slacks = np.array([rec[3] for rec in records])
-    violations = int(np.sum(slacks < -cfg.tolerance))
+    x, e, bound, lam = (np.concatenate(column) for column in zip(*chunks))
+    del chunks  # only the merged columns stay
+    slack = bound - e
+    violations = int(np.sum(slack < -cfg.tolerance))
     summary = {
         "samples": cfg.samples,
         "violations": violations,
-        "max_violation": float(max(0.0, -slacks.min())),
-        "min_slack": float(slacks.min()),
+        "max_violation": float(max(0.0, -slack.min())),
+        "min_slack": float(slack.min()),
     }
 
     # JSON records carry the spectrum, and past 10,000 samples JSON leaves
     # the records out unless --full.
-    header = ["idx", "x", "e", "bound", "slack", "spectrum"][: 6 if cfg.format == "json" else 5]
+    columns = {"idx": range(cfg.samples), "x": x, "e": e, "bound": bound, "slack": slack}
     keep = cfg.format == "csv" or cfg.samples <= 10_000 or cfg.full
-    rows = ((i, *rec[: len(header) - 1]) for i, rec in enumerate(records)) if keep else None
+    if cfg.format == "json" and keep:
+        sizes = (lam > 0.0).sum(axis=-1).tolist()
+        columns["spectrum"] = [tuple(row[:n]) for row, n in zip(lam.tolist(), sizes)]
+    del lam  # only the columns reach _emit
     _emit(
-        cfg, header, rows, summary,
+        cfg, columns, summary, records=keep,
         samples=cfg.samples, dim_b=cfg.dim_b, workers=cfg.workers, tolerance=_fmt(cfg.tolerance),
     )
 
@@ -261,15 +258,13 @@ def run_tightness(cfg: RunConfig) -> None:
     purification: the correlation that state carries, x on its slice. The
     states are built as one stack and validated once, and their eigh gives
     the construction check, ef_construct and c_pure."""
-    restarts = cfg.opt_restarts if cfg.opt_restarts is not None else _ORBIT_RESTARTS
-    iters = cfg.opt_iters if cfg.opt_iters is not None else _ORBIT_ITERS
     xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
     q = optimal_slice_spectrum(cfg.kind, xs)
     # Each grid point draws the Haar starts of its orbit ascents from rng
     # stream point index + 1, also when all points climb as one stack; the
     # ascents themselves draw nothing.
     rngs = [worker_rng(cfg.seed, i + 1) for i in range(len(xs))]
-    e_num, _ = _max_ef_orbit(q, restarts, iters, rngs)
+    e_num, _ = _max_ef_orbit(q, _ORBIT_RESTARTS, _ORBIT_ITERS, rngs)
     _, w, u = validate_density_stack(_max_ef_states(q))
     built = w[:, ::-1]
     if not (np.abs(built - q) <= 1e-9).all():
@@ -278,20 +273,15 @@ def run_tightness(cfg: RunConfig) -> None:
     c_pure = KINDS[cfg.kind].f(_probabilities(built))
     bound = xi_ef(cfg.kind, xs)
     gap_built, gap_num = bound - e_built, bound - e_num
-    rows = [list(row) for row in zip(*(a.tolist() for a in (
-        xs, bound, e_built, gap_built, e_num, gap_num, c_pure)))]
     worst_construct = float(np.abs(gap_built).max())
     worst_numeric = float(np.abs(gap_num).max())
     summary = {
         "max_gap_construct": worst_construct,
         "max_gap_numeric": worst_numeric,
     }
-    _emit(
-        cfg,
-        ["x", "bound", "ef_construct", "gap_construct", "ef_numeric", "gap_numeric", "c_pure"],
-        rows,
-        summary,
-    )
+    columns = {"x": xs, "bound": bound, "ef_construct": e_built, "gap_construct": gap_built,
+               "ef_numeric": e_num, "gap_numeric": gap_num, "c_pure": c_pure}
+    _emit(cfg, columns, summary)
     if worst_construct > 1e-6:
         raise VerificationError(f"analytic construction misses the bound by {worst_construct:.3e}")
     if worst_numeric > cfg.tolerance:
@@ -323,11 +313,10 @@ def run_ccbound(cfg: RunConfig) -> None:
     e_a = v(_concurrence_eig(u_a, _on_support(w_a)))
     zeta = zeta_ef(cfg.kind, xs)
     c_gap = c_num - xs
-    rows = [list(r) for r in zip(*(a.tolist() for a in (xs, zeta, c_num, c_gap, e_a)))]
     worst_c = float(np.abs(c_gap).max())
     worst_e = max(0.0, float((e_a - zeta).max()))
     summary = {"max_c_gap": worst_c, "max_ef_excess": worst_e}
-    _emit(cfg, ["x", "zeta", "c_numeric", "c_gap", "ef_a"], rows, summary)
+    _emit(cfg, {"x": xs, "zeta": zeta, "c_numeric": c_num, "c_gap": c_gap, "ef_a": e_a}, summary)
     if worst_c > cfg.tolerance:
         raise VerificationError(f"CC correlation misses its closed form by {worst_c:.3e}")
     if worst_e > 1e-9:
@@ -343,10 +332,9 @@ def run_gd(cfg: RunConfig) -> None:
     analytic = xi_ef(cfg.kind, xs)
     numeric = LN2 - g_d_numeric(cfg.kind, xs)
     diff = np.abs(numeric - analytic)
-    rows = [list(row) for row in zip(*(a.tolist() for a in (xs, analytic, numeric, diff)))]
     worst = float(diff.max())
     summary = {"max_abs_diff": worst}
-    _emit(cfg, ["x", "analytic", "numeric", "abs_diff"], rows, summary)
+    _emit(cfg, {"x": xs, "analytic": analytic, "numeric": numeric, "abs_diff": diff}, summary)
     if worst > cfg.tolerance:
         raise VerificationError(f"slice oracle disagrees with the closed form by {worst:.3e}")
 

@@ -91,12 +91,18 @@ def kind_of(kind) -> Kind:
 # Spectral functions
 # ---------------------------------------------------------------------------
 
+# The distance kinds' f is sqrt(2 - 2a) at the affinity a = sqrt(p1) (Bures)
+# or p1 (Hellinger) of the closest product state. Both are taken from the
+# tail sum_{i>=2} p_i = 1 - p1, as 2 (1 - sqrt(p1)) = 2 tail / (1 + sqrt(p1)),
+# which does not cancel near the product states, where p1 -> 1. For one
+# spectrum they return numpy scalars, as _concurrence_eig does.
+
 def _f_bures(p: np.ndarray) -> np.ndarray:
-    return _distance(np.sqrt(p.T[0].T))  # a numpy scalar for one spectrum, as in _concurrence_eig
+    return np.sqrt(2.0 * p[..., 1:].sum(axis=-1) / (1.0 + np.sqrt(p[..., 0])))
 
 
 def _f_hellinger(p: np.ndarray) -> np.ndarray:
-    return _distance(p.T[0].T)
+    return np.sqrt(2.0 * p[..., 1:].sum(axis=-1))
 
 
 def _f_mutual_information(p: np.ndarray) -> np.ndarray:

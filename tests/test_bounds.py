@@ -173,15 +173,16 @@ class TestThresholds:
 
     def test_threshold_is_c_max_of_three_levels(self):
         # y = 1 - p1 on pure states, so y = 2/3 at the uniform 3-spectrum.
-        # The rounded y(x) passes 2/3 between the double below t and t;
-        # xi itself already rounds to 0 a little below t, where
-        # 1 - (2 - 3y)^2 rounds to 1 inside v(2 - 3y).
+        # t is the correctly rounded f there, and the rounded y(x) reaches
+        # the double 2/3 at t and not at the double below t, so t is the
+        # least double at which xi is 0.
         for kind in ("bures", "hellinger"):
             t = threshold(kind)
             assert t == c_max(kind, 3)
-            assert float(_y_of_x(kind, t)) > 2.0 / 3.0
-            assert float(_y_of_x(kind, np.nextafter(t, 0.0))) <= 2.0 / 3.0
+            assert float(_y_of_x(kind, t)) >= 2.0 / 3.0
+            assert float(_y_of_x(kind, np.nextafter(t, 0.0))) < 2.0 / 3.0
             assert xi_ef(kind, t) == 0.0
+            assert xi_ef(kind, np.nextafter(t, 0.0)) > 0.0
             assert xi_ef(kind, t * (1.0 - 1e-6)) > 0.0
 
     def test_below_capacity(self):

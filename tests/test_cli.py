@@ -86,15 +86,17 @@ class TestVerifyChunk:
         # with the smaller budget the blocks hold 7 samples, 42 full blocks and 6.
         for entries in (cli._VERIFY_BLOCK_ENTRIES, 4 * max(dim_b, 4) * 7):
             monkeypatch.setattr(cli, "_VERIFY_BLOCK_ENTRIES", entries)
-            got = cli._verify_chunk(args)
-            assert got == expected
-            assert all(type(t) is float for rec in got for t in (*rec[:4], *rec[4]))
+            x, e, bound, lam = cli._verify_chunk(args)
+            assert all(a.dtype == np.float64 for a in (x, e, bound, lam))
+            assert [x.tolist(), e.tolist(), bound.tolist(), (bound - e).tolist()] == [
+                [rec[i] for rec in expected] for i in range(4)
+            ]
+            assert [tuple(row[row > 0.0].tolist()) for row in lam] == [rec[4] for rec in expected]
 
     def test_mutual_information_bound_is_the_curve_at_each_x(self):
-        records = cli._verify_chunk(("mutual_information", 16, 300, 5, 1))
-        xs = np.array([rec[0] for rec in records])
-        assert [rec[2] for rec in records] == xi_ef("mutual_information", xs).tolist()
-        assert not any(rec[3] < -1e-9 for rec in records)
+        x, e, bound, _ = cli._verify_chunk(("mutual_information", 16, 300, 5, 1))
+        assert bound.tolist() == xi_ef("mutual_information", x).tolist()
+        assert not (bound - e < -1e-9).any()
 
     def test_memory_is_bounded_at_a_large_dim_b(self):
         tracemalloc.start()
@@ -161,10 +163,24 @@ class TestVerifyOutput:
         records = report["records"]
         assert [rec["idx"] for rec in records] == list(range(64))
         for i in (0, 63):
-            x, e, bound, slack, lam = cli._verify_chunk(("hellinger", 16, 1, 0, i + 1))[0]
+            x, e, bound, lam = cli._verify_chunk(("hellinger", 16, 1, 0, i + 1))
             assert (records[i]["x"], records[i]["bound"], records[i]["spectrum"]) == (
-                x, bound, list(lam)
+                x[0], bound[0], lam[0][lam[0] > 0.0].tolist()
             )
+
+    @pytest.mark.parametrize("fmt, limit", [("csv", 450), ("json", 200)])
+    def test_peak_memory_per_sample(self, tmp_path, fmt, limit):
+        # Traced bytes per sample at 20,000 samples, where JSON leaves the
+        # records out; the first run makes the lazy imports and caches.
+        argv = ["verify", "--format", fmt, "--out", str(tmp_path / "v")]
+        assert main([*argv, "--samples", "10"]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--samples", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * 20_000
 
 
 REJECTED = [
@@ -201,7 +217,7 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
     def test_violation_is_a_verification_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "xi_ef", lambda kind, x: -1.0)  # every slack < 0
+        monkeypatch.setattr(cli, "xi_ef", lambda kind, x: np.full_like(x, -1.0))  # every slack < 0
         argv = ["verify", "--samples", "20", "--out", str(tmp_path / "v.csv")]
         assert main(argv) == 4
         assert "verification failed" in capsys.readouterr().err
@@ -214,13 +230,18 @@ class TestJSONMatchesCSV:
         ["tightness", "--grid", "3"],
         ["ccbound", "--grid", "2"],
         ["gd", "--grid", "3"],
-    ], ids=["curve-hellinger", "curve-mutual_information", "tightness", "ccbound", "gd"])
+        ["verify", "--samples", "300"],
+    ], ids=["curve-hellinger", "curve-mutual_information", "tightness", "ccbound", "gd", "verify"])
     def test_same_rows_and_the_parsed_config(self, tmp_path, argv):
         lines = run_to_text(tmp_path, "r.csv", argv).splitlines()
         header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
         json_argv = [*argv, "--format", "json", "--out", str(tmp_path / "r.json")]
         assert main(json_argv) == 0
         report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        # only verify's JSON records carry a column CSV leaves out: the spectrum
+        spectra = [rec.pop("spectrum") for rec in report["records"] if "spectrum" in rec]
+        assert len(spectra) == (len(rows) if argv[0] == "verify" else 0)
+        assert all(abs(math.fsum(p) - 1.0) <= 1e-12 for p in spectra)
         assert report["records"] == [dict(zip(header, map(float, row))) for row in rows]
         parsed = cli.config_from_args(cli.build_parser().parse_args(json_argv))
         assert report["config"] == asdict(parsed)

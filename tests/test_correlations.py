@@ -83,6 +83,19 @@ class TestSpectralFunctions:
         assert abs(f_value("bures", np.full(4, 0.25)) - 1.0) < 1e-15
         assert abs(f_value("mutual_information", np.full(4, 0.25)) - 2 * math.log(4)) < 1e-15
 
+    def test_no_cancellation_next_to_the_point_mass(self):
+        # sqrt(2 - 2 p1) would carry the rounding of p1 = 1 - eps, a relative
+        # error of 4e-8 at eps = 1e-10 and 4e-4 at eps = 1e-14. The references:
+        # sqrt(2 eps), and for Bures the series 2 (1 - sqrt(1 - eps)) =
+        # eps (1 + eps / 4 + O(eps^2))
+        for eps in (1e-10, 1e-14):
+            p = np.array([1.0 - eps, eps])
+            for kind, want in (
+                ("hellinger", math.sqrt(2.0 * eps)),
+                ("bures", math.sqrt(eps * (1.0 + eps / 4.0))),
+            ):
+                assert abs(f_value(kind, p) - want) <= 1e-12 * want
+
     def test_f_tilde_relations(self):
         # the CC correlation f~(p) = f_cc_kind(p) / scale is the Bures f for
         # the Hellinger measure and half the pure-state f, H(p), for the
