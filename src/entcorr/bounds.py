@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import _f_mutual_information, c_max, kind_of
-from .qcore import DomainError
+from .qcore import DomainError, _check_index
 
 LN2 = math.log(2.0)
 
@@ -384,6 +384,7 @@ def bound_curve(kind: str, grid: int = 201) -> BoundCurve:
     gives them; the test suite checks that they do not increase.
     """
     row = kind_of(kind)
+    grid = _check_index(grid, "grid")
     if grid < 2:
         raise DomainError("grid must have at least 2 points")
     if row.y is not None:

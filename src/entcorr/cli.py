@@ -4,10 +4,11 @@ boundary experiments, and the slice-solver oracle comparison.
 
 Subcommands: curve | verify | tightness | ccbound | gd. All runs are
 deterministic functions of their configuration (seed and worker count
-included); outputs are CSV or JSON with LF endings and 17-significant-digit
-floats. A JSON report's "config" block records every RunConfig field,
---out included, so the same run written to two paths differs in that one
-field. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
+included); outputs are CSV with 17-significant-digit floats (%.17g), or
+JSON with Python's shortest round-trip floats, both with LF endings. A
+JSON report's "config" block records every RunConfig field, --out
+included, so the same run written to two paths differs in that one field.
+Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
 (violation) error.
 """
 
@@ -20,26 +21,19 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    LN2,
-    bound_curve,
-    g_d_numeric,
-    optimal_slice_spectrum,
-    v,
-    xi_ef,
-    zeta_ef,
-)
+from .bounds import LN2, bound_curve, g_d_numeric, optimal_slice_spectrum, xi_ef, zeta_ef
 from .correlations import KINDS, c_max
-from .measures import _ORBIT_ITERS, _ORBIT_RESTARTS, _concurrence_eig, _max_ef_orbit, _max_ef_states
+from .measures import _ORBIT_ITERS, _ORBIT_RESTARTS, _ef_eig, _max_ef_orbit, _max_ef_states
 from .qcore import (
     DomainError,
-    _on_support,
     _partial_trace,
     _probabilities,
+    _strictly_correlated_cc,
     validate_density_stack,
     worker_rng,
 )
@@ -53,11 +47,30 @@ class VerificationError(RuntimeError):
     """A checked inequality or agreement failed (exit code 4)."""
 
 
-# The fields a kind's registry row must fill for the command to accept the
-# kind; every row serves the commands not listed. ccbound needs a CC
-# closed form (cc) and a distance to the product states to check it with
-# (closest).
-_NEEDS = {"tightness": ("y",), "gd": ("y",), "ccbound": ("cc", "closest")}
+class _Command(NamedTuple):
+    """One row of _COMMANDS, the command-side twin of correlations.KINDS:
+    what differs between the commands, whose runners are run_<command>.
+    ``needs``: the fields a kind's registry row must fill for the command
+    to accept the kind. ``defaults``: the parser defaults that differ from
+    RunConfig's. ``header``: the fields a CSV header lists after the version.
+    """
+
+    needs: tuple[str, ...] = ()
+    defaults: dict = {}
+    header: tuple[str, ...] = ()
+
+
+# The oracle commands check on a coarser grid to a looser tolerance. ccbound
+# needs a CC closed form (cc) and a distance to the product states to check
+# it with (closest).
+_ORACLE = {"grid": 20, "tolerance": 1e-3}
+_COMMANDS = {
+    "curve": _Command(),
+    "verify": _Command(header=("samples", "dim_b", "workers", "tolerance")),
+    "tightness": _Command(("y",), _ORACLE),
+    "ccbound": _Command(("cc", "closest"), _ORACLE),
+    "gd": _Command(("y",), _ORACLE),
+}
 
 # Complex entries per array that one block of `verify` samples may hold.
 _VERIFY_BLOCK_ENTRIES = 1 << 14
@@ -89,14 +102,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("grid must be >= 2")
     if cfg.dim_b < 1:
         raise ConfigError("dim-b must be >= 1")
-    if not (cfg.tolerance > 0.0):
-        raise ConfigError("tolerance must be > 0")
+    if not 0.0 < cfg.tolerance < np.inf:
+        raise ConfigError("tolerance must be finite and > 0")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     row = KINDS.get(cfg.kind)
-    if row is None or any(getattr(row, need) is None for need in _NEEDS.get(cfg.command, ())):
+    if row is None or any(getattr(row, need) is None for need in _COMMANDS[cfg.command].needs):
         raise ConfigError(f"kind {cfg.kind!r} not supported by {cfg.command!r}")
 
 
@@ -104,34 +117,36 @@ def validate_config(cfg: RunConfig) -> None:
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _fmt(v) -> str:
+    """A CSV cell or header value: a float to 17 significant digits, the rest by str."""
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def _emit(cfg: RunConfig, columns: dict, summary: dict, records: bool = True, **meta) -> None:
+def _emit(cfg: RunConfig, columns: dict | None, summary: dict) -> None:
     """Write the table as CSV, or as JSON with the summary.
 
     ``columns`` maps each header name to its column: a numpy array, or a
-    sequence of one value per row (a range for idx, tuples for spectra).
-    Rows are formed here alone, by zipping the columns' ``tolist()``, and
-    only when ``records`` is true; JSON leaves out "records" otherwise.
+    sequence of one value per row (a range for idx, tuples for spectra);
+    it is None where JSON leaves out "records". Rows are formed here alone,
+    by zipping the columns' ``tolist()``. A CSV file opens with one line per
+    config field, the version and the command's header fields of _COMMANDS,
+    each value written by _fmt as the cells are.
     """
     rows = ()
-    if records:
+    if columns is not None:
         rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()])
     if cfg.format == "csv":
-        items = {"command": cfg.command, "kind": cfg.kind, "seed": cfg.seed, "grid": cfg.grid,
-                 "version": __version__, **meta}
-        lines = [f"# {k}={v}" for k, v in items.items()]
+        items = {**vars(cfg), "version": __version__}
+        names = ("command", "kind", "seed", "grid", "version", *_COMMANDS[cfg.command].header)
+        lines = [f"# {k}={_fmt(items[k])}" for k in names]
         lines.append(",".join(columns))
-        lines.extend(",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row])
-                     for row in rows)
+        lines.extend(",".join([_fmt(v) for v in row]) for row in rows)
         del rows  # frees the column lists before the text is joined
         lines.append("")  # the final LF, without a second copy of the text
         text = "\n".join(lines)
     else:
         report = {"config": asdict(cfg), "summary": summary}
-        if records:
+        if columns is not None:
             report["records"] = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(report, indent=2) + "\n"
     if cfg.out is None:
@@ -142,22 +157,18 @@ def _emit(cfg: RunConfig, columns: dict, summary: dict, records: bool = True, **
 
 
 # ---------------------------------------------------------------------------
-# curve
+# Runners: each returns its columns, summary and checks to run()
 # ---------------------------------------------------------------------------
 
-def run_curve(cfg: RunConfig) -> None:
+def run_curve(cfg: RunConfig) -> tuple:
     curve = bound_curve(cfg.kind, cfg.grid)
     summary = {
         "x_max": float(curve.xs[-1]),
         "bound_at_zero": float(curve.bounds[0]),
         "bound_at_max": float(curve.bounds[-1]),
     }
-    _emit(cfg, {"x": curve.xs, "bound": curve.bounds}, summary)
+    return {"x": curve.xs, "bound": curve.bounds}, summary, ()
 
-
-# ---------------------------------------------------------------------------
-# verify
-# ---------------------------------------------------------------------------
 
 def _verify_chunk(args) -> tuple[np.ndarray, ...]:
     """Columns (x, e, bound, lam) of ``count`` Haar samples: the level, the
@@ -196,22 +207,16 @@ def _verify_chunk(args) -> tuple[np.ndarray, ...]:
         lam = _probabilities(np.linalg.svd(m, compute_uv=False) ** 2)
         x = np.minimum(KINDS[kind].f(lam), xmax)
         _, w, u = validate_density_stack(m @ m.conj().swapaxes(-1, -2))
-        e = v(_concurrence_eig(u, _on_support(w)))
+        e = _ef_eig(w, u)
         blocks.append((x, e, xi_ef(kind, x), lam))
     return tuple(np.concatenate(column) for column in zip(*blocks))
 
 
-def run_verify(cfg: RunConfig) -> None:
-    counts = [
-        cfg.samples // cfg.workers + (1 if w < cfg.samples % cfg.workers else 0)
-        for w in range(cfg.workers)
-    ]
-    # Sample worker w draws from rng stream w + 1.
-    jobs = [
-        (cfg.kind, cfg.dim_b, counts[w], cfg.seed, w + 1)
-        for w in range(cfg.workers)
-        if counts[w] > 0
-    ]
+def run_verify(cfg: RunConfig) -> tuple:
+    # Sample worker w draws its share of the samples from rng stream w + 1.
+    share, extra = divmod(cfg.samples, cfg.workers)
+    jobs = [(cfg.kind, cfg.dim_b, share + (w < extra), cfg.seed, w + 1)
+            for w in range(min(cfg.workers, cfg.samples))]
     if cfg.workers == 1:
         chunks = [_verify_chunk(job) for job in jobs]
     else:
@@ -223,37 +228,22 @@ def run_verify(cfg: RunConfig) -> None:
     del chunks  # only the merged columns stay
     slack = bound - e
     violations = int(np.sum(slack < -cfg.tolerance))
-    summary = {
-        "samples": cfg.samples,
-        "violations": violations,
-        "max_violation": float(max(0.0, -slack.min())),
-        "min_slack": float(slack.min()),
-    }
-
+    worst = float(max(0.0, -slack.min()))
+    summary = {"samples": cfg.samples, "violations": violations, "max_violation": worst,
+               "min_slack": float(slack.min())}
+    checks = [(violations > 0, f"{violations} violations (max {worst:.3e})")]
     # JSON records carry the spectrum, and past 10,000 samples JSON leaves
     # the records out unless --full.
+    if cfg.format == "json" and cfg.samples > 10_000 and not cfg.full:
+        return None, summary, checks
     columns = {"idx": range(cfg.samples), "x": x, "e": e, "bound": bound, "slack": slack}
-    keep = cfg.format == "csv" or cfg.samples <= 10_000 or cfg.full
-    if cfg.format == "json" and keep:
+    if cfg.format == "json":
         sizes = (lam > 0.0).sum(axis=-1).tolist()
         columns["spectrum"] = [tuple(row[:n]) for row, n in zip(lam.tolist(), sizes)]
-    del lam  # only the columns reach _emit
-    _emit(
-        cfg, columns, summary, records=keep,
-        samples=cfg.samples, dim_b=cfg.dim_b, workers=cfg.workers, tolerance=_fmt(cfg.tolerance),
-    )
-
-    if violations > 0:
-        raise VerificationError(
-            f"{violations} violations (max {summary['max_violation']:.3e})"
-        )
+    return columns, summary, checks
 
 
-# ---------------------------------------------------------------------------
-# tightness
-# ---------------------------------------------------------------------------
-
-def run_tightness(cfg: RunConfig) -> None:
+def run_tightness(cfg: RunConfig) -> tuple:
     """c_pure is f at each built state's spectrum, the Schmidt spectrum of its
     purification: the correlation that state carries, x on its slice. The
     states are built as one stack and validated once, and their eigh gives
@@ -269,30 +259,22 @@ def run_tightness(cfg: RunConfig) -> None:
     built = w[:, ::-1]
     if not (np.abs(built - q) <= 1e-9).all():
         raise VerificationError("constructed state does not have the requested spectrum")
-    e_built = v(_concurrence_eig(u, _on_support(w)))
+    e_built = _ef_eig(w, u)
     c_pure = KINDS[cfg.kind].f(_probabilities(built))
     bound = xi_ef(cfg.kind, xs)
     gap_built, gap_num = bound - e_built, bound - e_num
     worst_construct = float(np.abs(gap_built).max())
     worst_numeric = float(np.abs(gap_num).max())
-    summary = {
-        "max_gap_construct": worst_construct,
-        "max_gap_numeric": worst_numeric,
-    }
+    summary = {"max_gap_construct": worst_construct, "max_gap_numeric": worst_numeric}
     columns = {"x": xs, "bound": bound, "ef_construct": e_built, "gap_construct": gap_built,
                "ef_numeric": e_num, "gap_numeric": gap_num, "c_pure": c_pure}
-    _emit(cfg, columns, summary)
-    if worst_construct > 1e-6:
-        raise VerificationError(f"analytic construction misses the bound by {worst_construct:.3e}")
-    if worst_numeric > cfg.tolerance:
-        raise VerificationError(f"orbit search misses the bound by {worst_numeric:.3e}")
+    return columns, summary, [
+        (worst_construct > 1e-6, f"analytic construction misses the bound by {worst_construct:.3e}"),
+        (worst_numeric > cfg.tolerance, f"orbit search misses the bound by {worst_numeric:.3e}"),
+    ]
 
 
-# ---------------------------------------------------------------------------
-# ccbound
-# ---------------------------------------------------------------------------
-
-def run_ccbound(cfg: RunConfig) -> None:
+def run_ccbound(cfg: RunConfig) -> tuple:
     """The state at level x is the diagonal CC state of the cc_kind's slice
     witness on f_cc_kind = scale x, whose correlation is x; c_gap compares
     c_numeric, the row's distance to the product states, with x. The
@@ -303,54 +285,38 @@ def run_ccbound(cfg: RunConfig) -> None:
     row = KINDS[cfg.kind]
     cc_kind, scale = row.cc  # the CC correlation is f_cc_kind / scale
     xs = np.linspace(0.0, c_max(cc_kind, 4) / scale, cfg.grid)
-    diagonal = 5 * np.arange(4)  # the entries |ii><ii| of the 4 x 4 product basis
-    states = np.zeros((cfg.grid, 16, 16), dtype=complex)
-    states[:, diagonal, diagonal] = optimal_slice_spectrum(cc_kind, scale * xs)
+    states = _strictly_correlated_cc(optimal_slice_spectrum(cc_kind, scale * xs), 4, 4)
     rho, w, u = validate_density_stack(states)
     rng = worker_rng(0, 0)
     c_num = np.array([row.closest(*state, 4, 4, 10, rng)[0] for state in zip(rho, w, u)])
-    w_a, u_a = np.linalg.eigh(_partial_trace(rho, 4, 4, 1))
-    e_a = v(_concurrence_eig(u_a, _on_support(w_a)))
+    e_a = _ef_eig(*np.linalg.eigh(_partial_trace(rho, 4, 4, 1)))
     zeta = zeta_ef(cfg.kind, xs)
     c_gap = c_num - xs
     worst_c = float(np.abs(c_gap).max())
     worst_e = max(0.0, float((e_a - zeta).max()))
     summary = {"max_c_gap": worst_c, "max_ef_excess": worst_e}
-    _emit(cfg, {"x": xs, "zeta": zeta, "c_numeric": c_num, "c_gap": c_gap, "ef_a": e_a}, summary)
-    if worst_c > cfg.tolerance:
-        raise VerificationError(f"CC correlation misses its closed form by {worst_c:.3e}")
-    if worst_e > 1e-9:
-        raise VerificationError(f"CC state exceeds the zeta bound by {worst_e:.3e}")
+    return {"x": xs, "zeta": zeta, "c_numeric": c_num, "c_gap": c_gap, "ef_a": e_a}, summary, [
+        (worst_c > cfg.tolerance, f"CC correlation misses its closed form by {worst_c:.3e}"),
+        (worst_e > 1e-9, f"CC state exceeds the zeta bound by {worst_e:.3e}"),
+    ]
 
 
-# ---------------------------------------------------------------------------
-# gd
-# ---------------------------------------------------------------------------
-
-def run_gd(cfg: RunConfig) -> None:
+def run_gd(cfg: RunConfig) -> tuple:
     xs = np.linspace(0.0, c_max(cfg.kind, 4), cfg.grid)
     analytic = xi_ef(cfg.kind, xs)
     numeric = LN2 - g_d_numeric(cfg.kind, xs)
     diff = np.abs(numeric - analytic)
     worst = float(diff.max())
     summary = {"max_abs_diff": worst}
-    _emit(cfg, {"x": xs, "analytic": analytic, "numeric": numeric, "abs_diff": diff}, summary)
-    if worst > cfg.tolerance:
-        raise VerificationError(f"slice oracle disagrees with the closed form by {worst:.3e}")
+    columns = {"x": xs, "analytic": analytic, "numeric": numeric, "abs_diff": diff}
+    return columns, summary, [
+        (worst > cfg.tolerance, f"slice oracle disagrees with the closed form by {worst:.3e}"),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-_RUNNERS = {
-    "curve": run_curve,
-    "verify": run_verify,
-    "tightness": run_tightness,
-    "ccbound": run_ccbound,
-    "gd": run_gd,
-}
-
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -361,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement versus external correlations: curves and experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
-        # A flag left out takes RunConfig's default; the only defaults that
-        # differ are the oracle commands' coarser grid and looser tolerance.
+    for name, command in _COMMANDS.items():
+        # A flag left out takes RunConfig's default, or the command's own.
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
@@ -375,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--full", action="store_true")
         p.add_argument("--workers", type=int)
-        if name in ("tightness", "ccbound", "gd"):
-            p.set_defaults(grid=20, tolerance=1e-3)
+        p.set_defaults(**command.defaults)
     return parser
 
 
@@ -385,14 +349,21 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def run(cfg: RunConfig) -> int:
-    """Validate and execute one configured command; return the exit code."""
+    """Validate and execute one configured command; return the exit code.
+
+    The runner returns named columns (None where JSON leaves the records
+    out), the summary and its checks, (failed, message) pairs in the order
+    they are raised. The table is written whole before a failed check
+    raises. The runner is found by name, so a wrapper set on the module
+    attribute (as perfbench's tracer sets one) sees the call.
+    """
     try:
         validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        _RUNNERS[cfg.command](cfg)
+        columns, summary, checks = globals()[f"run_{cfg.command}"](cfg)
+        _emit(cfg, columns, summary)
+        for failed, message in checks:
+            if failed:
+                raise VerificationError(message)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

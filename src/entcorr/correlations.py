@@ -28,6 +28,7 @@ import numpy as np
 
 from .qcore import (
     DomainError,
+    _check_index,
     _check_split,
     _distance,
     _entropy,
@@ -116,6 +117,7 @@ def f_value(kind, p) -> float:
 def c_max(kind, d: int) -> float:
     """Largest correlation value on a d-dimensional system: f at uniform."""
     row = kind_of(kind)
+    d = _check_index(d, "d")
     if d < 1:
         raise DomainError("need d >= 1")
     return float(row.f(np.full(d, 1.0 / d))) + 0.0  # no -0.0 at d = 1

@@ -6,7 +6,7 @@ negativity only. The concurrence has one kernel, which takes a state in
 eigenform U diag(q) U^dagger: Wootters' mu_i are the singular values of
 sqrt(q) U^T (Y x Y) U sqrt(q) (PRL 80, 2245, 1998). A density matrix
 reaches it through the eigh that its validator returns, with its
-eigenvalues cut by qcore._on_support.
+eigenvalues cut by qcore._on_support; _ef_eig takes E_f that way.
 The spectral cap s22 (kept in bounds, next to v) gives the largest
 entanglement of formation compatible with a given eigenvalue vector. An
 explicit state attains it, and an independent, deterministic oracle
@@ -85,6 +85,13 @@ def concurrence(rho) -> float:
     if rho.shape != (4, 4):
         raise DomainError(f"concurrence needs a 4x4 state, got {rho.shape}")
     return float(_concurrence_eig(v, _on_support(w)))
+
+
+def _ef_eig(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """E_f of two-qubit states given by their eigh, as a validator returns
+    it: ascending eigenvalues (..., 4), cut by _on_support, and unitaries
+    (..., 4, 4); unchecked."""
+    return bounds.v(_concurrence_eig(u, _on_support(w)))
 
 
 def entanglement_of_formation(rho) -> float:

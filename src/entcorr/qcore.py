@@ -51,6 +51,14 @@ class CapacityError(DomainError):
     """A construction does not fit in the requested dimensions."""
 
 
+def _check_index(n, name: str) -> int:
+    """n as an int; DomainError unless it is an integer."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
+
+
 def _check_split(dim: int, split) -> tuple[int, int]:
     """The split (d1, d2) as ints; DomainError unless both are integers,
     positive, and d1 * d2 is the state dimension ``dim``."""
@@ -336,11 +344,18 @@ def projector(psi) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _strictly_correlated_cc(p: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
+    """Stack form of strictly_correlated_cc for spectra (..., k), padded with
+    zeros or not, k <= min(d_a, d_b); unchecked."""
+    states = np.zeros(p.shape[:-1] + (d_a * d_b,) * 2, dtype=complex)
+    diagonal = (d_b + 1) * np.arange(p.shape[-1])  # the entries |ii><ii|
+    states[..., diagonal, diagonal] = p
+    return states
+
+
 def strictly_correlated_cc(p, d_a: int, d_b: int) -> np.ndarray:
     """CC state with p_ij = p_i delta_ij; the A-marginal has spectrum p."""
     p = validate_spectrum(p)
     if p.size > min(d_a, d_b):
         raise CapacityError(f"{p.size} outcomes do not fit in ({d_a}, {d_b})")
-    joint = np.zeros((d_a, d_b))
-    joint[np.arange(p.size), np.arange(p.size)] = p
-    return np.diag(joint.ravel()).astype(complex)
+    return _strictly_correlated_cc(p, d_a, d_b)

@@ -447,6 +447,11 @@ class TestBoundCurve:
         assert curve.bounds[-1] <= 1e-6
         assert np.all(np.diff(curve.bounds) <= 1e-15)
 
+    def test_non_integer_grid_is_rejected(self):
+        with pytest.raises(DomainError):
+            bound_curve("hellinger", 3.5)
+        assert len(bound_curve("hellinger", np.int64(3)).xs) == 3
+
 
 class TestEnumKinds:
     # every public kind-taking function accepts a MonotoneKind member and

@@ -222,6 +222,32 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "verification failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, curve, header", [
+        (["verify", "--samples", "20"], "xi_ef", "idx,x,e,bound,slack"),
+        (["tightness", "--grid", "3"], "xi_ef",
+         "x,bound,ef_construct,gap_construct,ef_numeric,gap_numeric,c_pure"),
+        (["ccbound", "--grid", "4"], "zeta_ef", "x,zeta,c_numeric,c_gap,ef_a"),
+        (["gd", "--grid", "5"], "xi_ef", "x,analytic,numeric,abs_diff"),
+    ], ids=["verify", "tightness", "ccbound", "gd"])
+    def test_failed_check_still_writes_the_whole_table(self, tmp_path, capsys, monkeypatch,
+                                                       argv, curve, header):
+        # a closed form of -1 fails the command's first check on the curve
+        monkeypatch.setattr(cli, curve, lambda kind, x: np.full_like(x, -1.0))
+        out = tmp_path / "t.csv"
+        assert main([*argv, "--out", str(out)]) == 4
+        assert "verification failed" in capsys.readouterr().err
+        table = [ln for ln in out.read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+        assert table[0] == header
+        assert len(table) == 1 + int(argv[2])
+        assert all(len(row.split(",")) == len(header.split(",")) for row in table[1:])
+
+    @pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "g.json"
+        assert main(["gd", f"--tolerance={tolerance}", "--format", "json", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestJSONMatchesCSV:
     @pytest.mark.parametrize("argv", [

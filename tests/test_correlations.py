@@ -139,6 +139,11 @@ class TestSpectralFunctions:
         for kind in MonotoneKind:  # +0.0, not the -0.0 of -2 * 0 ln 1
             assert math.copysign(1.0, c_max(kind, 1)) == 1.0 and c_max(kind, 1) == 0.0
 
+    def test_c_max_rejects_a_non_integer_size(self):
+        with pytest.raises(DomainError):
+            c_max("hellinger", 2.5)
+        assert c_max("hellinger", np.int64(4)) == math.sqrt(1.5)
+
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             f_value("fidelity", np.array([1.0]))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from entcorr.bounds import optimal_slice_spectrum
 from entcorr.correlations import c_distance_numeric, f_value, mutual_information
 from entcorr.measures import max_concurrence, negativity
 from entcorr.qcore import (
     CapacityError,
     DomainError,
+    _strictly_correlated_cc,
     bures_distance,
     haar_pure,
     haar_unitary,
@@ -292,6 +294,13 @@ class TestConstructors:
         p = np.array([0.5, 0.3, 0.2])
         rho = strictly_correlated_cc(p, 3, 3)
         assert np.allclose(spectrum(partial_trace(rho, (3, 3), keep=1)), p)
+
+    def test_stacked_cc_kernel_matches_the_front(self):
+        q = optimal_slice_spectrum("bures", np.linspace(0.0, 1.0, 7))  # padded with zeros
+        stack = _strictly_correlated_cc(q, 4, 4)
+        assert stack.shape == (7, 16, 16)
+        for p, state in zip(q, stack):
+            assert np.array_equal(state, strictly_correlated_cc(p[p > 0.0], 4, 4))
 
     def test_strictly_correlated_capacity(self):
         with pytest.raises(CapacityError):
