@@ -7,9 +7,10 @@ correlation measures the curve is u(y(x)) with a piecewise closed form u.
 The g4 slice solvers recompute it as the infimum of the spectral entropy
 s22 over an iso-correlation slice of the probability simplex. Both slice
 solvers are exact and return the spectrum they attain, so a value can only
-err high, by rounding. For the distance measures the slice fixes p1 and
-the concurrence cap p1 - p3 - 2 sqrt(p2 p4) is convex in (p2, p4), so the
-best vertex of the feasible polygon solves it. For the mutual information,
+err high, by rounding. For the distance measures the slice fixes p1: it
+is the convex hull of its crossings with the six edges of the tetrahedron
+of ordered spectra, and the concurrence cap p1 - p3 - 2 sqrt(p2 p4) is
+convex, so the best edge crossing solves it. For the mutual information,
 where no closed form exists, the cap on the slice 2 H(p) = x is largest at
 the geometric spectrum p ~ (1, r, r^2, 0) or on the isotropic line
 (1 - 3t, t, t, t); one bisection per family lands on the slice.
@@ -32,7 +33,7 @@ imports this module and not the reverse.
 
 Per-kind facts are read from the kind's row of correlations.KINDS, the
 one place they live; a kind is added by adding a row there. A row with a
-closed form y(x) takes the vertex solver, the others the two families.
+closed form y(x) takes the edge solver, the others the two families.
 """
 
 from __future__ import annotations
@@ -265,47 +266,28 @@ def optimal_slice_spectrum(kind: str, x) -> np.ndarray:
     return np.where(y <= 0.5, first, np.where(y <= 2.0 / 3.0, second, third))
 
 
-def _z_feasible(p2: np.ndarray, p4: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Ordering constraints of the slice maximization, taken verbatim."""
-    eps = 1e-12
-    return (
-        (p4 >= -eps)
-        & (p2 <= 1.0 - y + eps)
-        & (2.0 * p2 + p4 >= y - eps)
-        & (2.0 * p4 + p2 <= y + eps)
-    )
+# The corners u_k = (1, ..., 1, 0, ...) / k of the ordered tetrahedron, with
+# their tails y_k = 1 - 1/k, and its six edges (u_a, u_b).
+_CORNERS = np.tril(np.ones((4, 4))) / np.arange(1.0, 5.0)[:, None]
+_TAILS = 1.0 - 1.0 / np.arange(1.0, 5.0)
+_EDGE_A, _EDGE_B = np.triu_indices(4, 1)
 
 
 def _g4_distance(kind: str, x: np.ndarray) -> np.ndarray:
-    """Best vertex of the (p2, p4) polygon of the slice p1 = 1 - y(x), per level.
-
-    The objective (sqrt(p2) - sqrt(p4))^2 is convex, as -sqrt(p2 p4) is, so
-    its maximum over the polygon lies at a vertex. Every vertex is a
-    pairwise intersection of the seven lines below: the four ordering
-    constraints of _z_feasible and the box p2 = 0, p2 = y, p4 = y / 3.
+    """Best edge crossing of the slice p1 = 1 - y(x), per level; the cap is
+    convex, so its maximum on the slice lies at a crossing (g_d_numeric).
+    Edge (u_a, u_b) is crossed at t = (y - y_a) / (y_b - y_a) if 0 <= t <= 1,
+    taken in the tail y so that the crossing lies on its slice to rounding.
     Takes a 1-D array of levels and returns their spectra padded with
     zeros, shaped (n, 4).
     """
     y = _y_of_x(kind, x)[:, None]
-    # a p2 + b p4 = c
-    a = np.array([0.0, 1.0, 2.0, 1.0, 1.0, 1.0, 0.0])
-    b = np.array([1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 1.0])
-    zero = np.zeros_like(y)
-    c = np.concatenate([zero, 1.0 - y, y, y, zero, y, y / 3.0], axis=1)
-    i, j = np.triu_indices(a.size, 1)
-    det = a[i] * b[j] - a[j] * b[i]
-    i, j, det = i[det != 0.0], j[det != 0.0], det[det != 0.0]
-    p2 = (c[:, i] * b[j] - c[:, j] * b[i]) / det
-    p4 = (a[i] * c[:, j] - a[j] * c[:, i]) / det
-    p2, p4 = np.clip(p2, 0.0, None), np.clip(p4, 0.0, None)
-    z = np.where(_z_feasible(p2, p4, y), (np.sqrt(p2) - np.sqrt(p4)) ** 2, -np.inf)
-    k = np.argmax(z, axis=1)[:, None]
-    if not np.isfinite(np.take_along_axis(z, k, 1)).all():
-        raise DomainError("no feasible spectrum on the slice")
-    p2, p4 = np.take_along_axis(p2, k, 1), np.take_along_axis(p4, k, 1)
-    p = np.concatenate([1.0 - y, p2, y - p2 - p4, p4], axis=1)
-    p = _spectrum(np.sort(np.clip(p, 0.0, None), axis=1)[:, ::-1])
-    return np.where(y > 0.0, p, [1.0, 0.0, 0.0, 0.0])
+    t = (y - _TAILS[_EDGE_A]) / (_TAILS[_EDGE_B] - _TAILS[_EDGE_A])
+    u_a, u_b = _CORNERS[_EDGE_A], _CORNERS[_EDGE_B]
+    # t is clipped so that no crossing off its edge takes sqrt of a negative
+    p = u_a + np.clip(t, 0.0, 1.0)[..., None] * (u_b - u_a)
+    cap = np.where((t >= 0.0) & (t <= 1.0), _max_concurrence(p), -np.inf)
+    return p[np.arange(y.shape[0]), np.argmax(cap, axis=1)]
 
 
 def _g4_mutual_information(x: np.ndarray) -> np.ndarray:
@@ -333,21 +315,22 @@ def g_d_numeric(kind: str, x):
 
     The internal system is two qubits, so the spectra have 4 entries and
     x lies in [0, c_max(kind, 4)]. Takes a scalar or an array x, as xi_ef
-    does. The slice solver of the
-    kind returns a spectrum p on the slice f(p) = x, and the value is
-    s22_ef(p). Both solvers are exact, and being attained by a feasible
-    point, the value can only err high, by rounding.
+    does. The slice solver of the kind returns a spectrum p on the slice
+    f(p) = x, and the value is s22_ef(p). Both solvers are exact, and
+    being attained by a feasible point, the value can only err high, by
+    rounding.
 
     A kind with a closed form y(x) in its row (the distance measures) takes
-    the vertex solver, the others the two families. For the distance
-    measures the slice fixes p1, and the concurrence cap
-    p1 - p3 - 2 sqrt(p2 p4) = 1 - 2y + (sqrt(p2) - sqrt(p4))^2 is convex in
-    (p2, p4), so it is largest at a vertex of the feasible polygon; the
-    solver takes the best vertex. It does not use optimal_slice_spectrum,
-    so it checks the closed form independently. For the mutual information
-    the slice is 2 H(p) = x, and the cap is largest either at the geometric
-    spectrum on the face p4 = 0 or on the isotropic line (1 - 3t, t, t, t);
-    each of the two families meets the slice once, found by bisection.
+    the edge solver, the others the two families. For the distance
+    measures the slice p1 = 1 - y is the convex hull of its crossings with
+    the six edges of the tetrahedron of ordered spectra, whose corners are
+    the uniform k-spectra, and the concurrence cap p1 - p3 - 2 sqrt(p2 p4)
+    is convex, so it is largest at a crossing; the solver takes the best
+    crossing. It uses neither u nor optimal_slice_spectrum, so it checks
+    the closed form independently. For the mutual information the slice
+    is 2 H(p) = x, and the cap is largest either at the geometric spectrum
+    on the face p4 = 0 or on the isotropic line (1 - 3t, t, t, t); each of
+    the two families meets the slice once, found by bisection.
     """
     row = kind_of(kind)
     levels = _check_domain(x, 0.0, c_max(kind, 4), "x")

@@ -356,6 +356,7 @@ def _strictly_correlated_cc(p: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
 def strictly_correlated_cc(p, d_a: int, d_b: int) -> np.ndarray:
     """CC state with p_ij = p_i delta_ij; the A-marginal has spectrum p."""
     p = validate_spectrum(p)
+    d_a, d_b = _check_index(d_a, "d_a"), _check_index(d_b, "d_b")
     if p.size > min(d_a, d_b):
         raise CapacityError(f"{p.size} outcomes do not fit in ({d_a}, {d_b})")
     return _strictly_correlated_cc(p, d_a, d_b)

@@ -274,7 +274,9 @@ class TestConstructors:
         lambda: mutual_information(np.eye(4) / 4, (2, 2.0)),
         lambda: negativity(np.eye(4) / 4, (np.float64(2.0), 2)),
         lambda: c_distance_numeric(np.eye(4) / 4, (2.5, 2), "hellinger"),
-    ], ids=["partial_trace", "schmidt", "mutual_information", "negativity", "c_distance_numeric"])
+        lambda: strictly_correlated_cc([1.0], 2.5, 2),
+    ], ids=["partial_trace", "schmidt", "mutual_information", "negativity", "c_distance_numeric",
+            "strictly_correlated_cc"])
     def test_non_integer_split_is_rejected(self, call):
         with pytest.raises(DomainError):
             call()
