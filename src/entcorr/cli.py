@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -96,6 +97,12 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    for name in ("seed", "samples", "dim_b", "grid", "workers"):
+        value = getattr(cfg, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigError(f"{name.replace('_', '-')} must be an integer, got {value!r}") from None
     if cfg.samples < 1:
         raise ConfigError("samples must be >= 1")
     if cfg.grid < 2:

@@ -357,7 +357,7 @@ def c_distance_numeric(
     d_a, d_b = _check_split(rho.shape[0], split)
     if d_a * d_b > 64:
         raise DomainError("supported up to total dimension 64")
-    if restarts < 1:
+    if _check_index(restarts, "restarts") < 1:
         raise DomainError("need restarts >= 1")
     rng = worker_rng(0, 0) if rng is None else rng
     return float(row.closest(rho, w, v, d_a, d_b, restarts, rng)[0])

@@ -28,6 +28,7 @@ from . import bounds
 from .bounds import _max_concurrence, _s22
 from .qcore import (
     DomainError,
+    _check_index,
     _check_split,
     _on_support,
     haar_unitary,
@@ -145,15 +146,15 @@ _MU_SIGN2 = np.tile([1.0, -1.0, -1.0, -1.0], 2)
 _HALF_SWAP = np.roll(np.arange(8), 4)
 
 # Orthonormal basis E_aa, (E_ab + E_ba) / sqrt 2, i (E_ab - E_ba) / sqrt 2
-# (a < b) of the 4 x 4 Hermitian matrices under Re tr(G H), one flattened
-# matrix per row.
+# (a < b) of the 4 x 4 Hermitian matrices under Re tr(G H), in that order.
+# Over the 32 real and imaginary parts x of a flattened 4 x 4 matrix, the
+# coordinate j is (x[_PARTS[0, j]] + _SIGN[j] x[_PARTS[1, j]]) _SCALE[j]:
+# Re G_aa, (Re G_ab + Re G_ba) / sqrt 2 and (Im G_ab - Im G_ba) / sqrt 2.
 _IU = np.triu_indices(4, 1)
-_BASIS = np.zeros((16, 4, 4), dtype=complex)
-_BASIS[range(4), range(4), range(4)] = 1.0
-_BASIS[range(4, 10), _IU[0], _IU[1]] = _BASIS[range(4, 10), _IU[1], _IU[0]] = 1.0 / math.sqrt(2.0)
-_BASIS[range(10, 16), _IU[0], _IU[1]] = 1j / math.sqrt(2.0)
-_BASIS[range(10, 16), _IU[1], _IU[0]] = -1j / math.sqrt(2.0)
-_BASIS = _BASIS.reshape(16, 16)
+_DIAG, _UP, _LOW = 2 * np.arange(0, 16, 5), 2 * (4 * _IU[0] + _IU[1]), 2 * (4 * _IU[1] + _IU[0])
+_PARTS = np.array([np.r_[_DIAG, _UP, _UP + 1], np.r_[_DIAG, _LOW, _LOW + 1]])
+_SIGN = np.repeat([0.0, 1.0, -1.0], [4, 6, 6])
+_SCALE = np.repeat([1.0, 1.0 / math.sqrt(2.0)], [4, 12])
 _EYE16 = np.eye(16)
 
 # Quasi-Newton ascent: the default budget of chains per spectrum and steps
@@ -172,25 +173,23 @@ _GRAD_TOL = 1e-10
 _F_RESOLUTION = 1e-15
 
 
-def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x @ m for rows x (..., 16), each row rounded the same in any stack:
-    BLAS multiplies a lone row by another kernel than a stack of rows, so a
-    lone row is multiplied as a stack of two."""
-    rows = x.reshape(-1, 16)
-    if len(rows) == 1:
-        return (np.concatenate([rows, rows]) @ m)[0].reshape(x.shape[:-1] + (16,))
-    return (rows @ m).reshape(x.shape[:-1] + (16,))
-
-
 def _coords(g: np.ndarray) -> np.ndarray:
-    """Coordinates (..., 16) in _BASIS of the Hermitian part of matrices
-    (..., 4, 4): Re tr(G E_j), which equals Re tr(G^dagger E_j)."""
-    return _rows_times(g.reshape(g.shape[:-2] + (16,)), _BASIS.conj().T).real
+    """Coordinates (..., 16) of the Hermitian part of matrices (..., 4, 4):
+    Re tr(G E_j) = Re tr(G^dagger E_j), elementwise into a C-ordered array.
+    numpy multiplies a strided stack by its own loop, which rounds unlike
+    BLAS, so products with them take the same bits alone as in a stack."""
+    x = g.reshape(g.shape[:-2] + (16,)).view(np.float64)
+    return (x.take(_PARTS[0], axis=-1) + _SIGN * x.take(_PARTS[1], axis=-1)) * _SCALE
 
 
 def _hermitian(h: np.ndarray) -> np.ndarray:
-    """Hermitian matrices (..., 4, 4) with coordinates h (..., 16); inverse of _coords."""
-    return _rows_times(h, _BASIS).reshape(h.shape[:-1] + (4, 4))
+    """Hermitian matrices (..., 4, 4) with coordinates h (..., 16), written
+    into the diagonal and the two triangles; inverse of _coords."""
+    y = h * _SCALE
+    x = np.zeros(h.shape[:-1] + (32,))
+    x[..., _PARTS[1]] = _SIGN * y  # the diagonal takes 0 here and y next
+    x[..., _PARTS[0]] = y
+    return x.view(complex).reshape(h.shape[:-1] + (4, 4))
 
 
 def _rotate(u: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -419,9 +418,9 @@ def max_ef_over_spectrum_numeric(
     third (misses up to 1.1e-4 in E_f were seen).
     """
     q = pad_spectrum(p, 4)
-    if restarts < 1:
+    if _check_index(restarts, "restarts") < 1:
         raise DomainError("need restarts >= 1")
-    if iters < 0:
+    if _check_index(iters, "iters") < 0:
         raise DomainError("need iters >= 0")
     rng = worker_rng(0, 0) if rng is None else rng
     return float(_max_ef_orbit(q[None], restarts, iters, [rng])[0][0])

@@ -293,7 +293,8 @@ def worker_seed(seed: int, worker_index: int) -> int:
     The base seed is XOR-ed with a splitmix64 hash of the worker index
     (offset by one so worker 0 does not collapse to the base seed).
     """
-    return (int(seed) & _MASK64) ^ _splitmix64(int(worker_index) + 1)
+    seed, worker_index = _check_index(seed, "seed"), _check_index(worker_index, "worker_index")
+    return (seed & _MASK64) ^ _splitmix64(worker_index + 1)
 
 
 def worker_rng(seed: int, worker_index: int = 0) -> np.random.Generator:
@@ -303,7 +304,7 @@ def worker_rng(seed: int, worker_index: int = 0) -> np.random.Generator:
 
 def haar_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state: normalized standard complex Gaussian vector."""
-    if dim < 1:
+    if _check_index(dim, "dim") < 1:
         raise DomainError("dimension must be >= 1")
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return z / np.linalg.norm(z)
@@ -311,7 +312,7 @@ def haar_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
-    if dim < 1:
+    if _check_index(dim, "dim") < 1:
         raise DomainError("dimension must be >= 1")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
@@ -321,7 +322,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, ancilla_dim: int, rng: np.random.Generator) -> np.ndarray:
     """Reduced state of a Haar-random pure state on dim x ancilla_dim."""
-    if dim < 1 or ancilla_dim < 1:
+    if _check_index(dim, "dim") < 1 or _check_index(ancilla_dim, "ancilla_dim") < 1:
         raise DomainError("dimensions must be >= 1")
     m = haar_pure(dim * ancilla_dim, rng).reshape(dim, ancilla_dim)
     return m @ m.conj().T
@@ -329,7 +330,7 @@ def random_density(dim: int, ancilla_dim: int, rng: np.random.Generator) -> np.n
 
 def random_spectrum(size: int, rng: np.random.Generator) -> np.ndarray:
     """Sorted, normalized standard exponentials (flat Dirichlet, ordered)."""
-    if size < 1:
+    if _check_index(size, "size") < 1:
         raise DomainError("size must be >= 1")
     x = np.sort(rng.standard_exponential(size))[::-1]
     return x / x.sum()

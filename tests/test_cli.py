@@ -248,6 +248,18 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("samples", 2.5), ("dim_b", 2.5), ("grid", 2.5), ("workers", 2.5),
+        ("seed", "0"),
+    ], ids=["seed", "samples", "dim_b", "grid", "workers", "seed-str"])
+    def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, field, value):
+        # argparse gives ints; a RunConfig built in code may not
+        out = tmp_path / "v.csv"
+        cfg = cli.RunConfig("verify", **{"samples": 20, "out": str(out), field: value})
+        assert cli.run(cfg) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestJSONMatchesCSV:
     @pytest.mark.parametrize("argv", [

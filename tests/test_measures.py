@@ -309,8 +309,8 @@ class TestMaxEfNumeric:
     def test_kernel_calls_on_a_tightness_point(self, monkeypatch):
         # the middle point of tightness --grid 3 at seed 0: 196 calls while
         # a line search ran to its 40 halvings, 151 with the stop at F's
-        # rounding resolution, 15 since rank-2 chains step onto the face
-        # mu2 = 0
+        # rounding resolution, 15 once rank-2 chains stepped onto the face
+        # mu2 = 0, and 14 since the generator coordinates are taken by index
         kernel, calls = measures._orbit_objective, []
 
         def counted(u, q):
@@ -319,7 +319,7 @@ class TestMaxEfNumeric:
 
         monkeypatch.setattr(measures, "_orbit_objective", counted)
         _max_ef_orbit(np.array([[0.8125, 0.1875, 0.0, 0.0]]), 8, 300, [worker_rng(0, 2)])
-        assert len(calls) == 15
+        assert len(calls) == 14
 
     @pytest.mark.parametrize("rank, count, seed", [(2, 200, 41), (3, 100, 45)])
     def test_kinked_spectra_reach_the_cap(self, rank, count, seed):
@@ -400,13 +400,22 @@ class TestOrbitGradient:
             assert np.linalg.norm(numeric.imag - jac[1]) <= 1e-6 * scale
 
     def test_lone_rows_round_as_in_a_stack(self):
-        # BLAS multiplies a lone row by another kernel than a stack of rows
+        # the coordinate maps act elementwise, so a lone matrix or row maps
+        # to the same bits as it does in a stack
         rng = worker_rng(34)
         g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
         h = rng.standard_normal((5, 16))
         for i in range(5):
             assert np.array_equal(_coords(g[i]), _coords(g)[i])
             assert np.array_equal(_hermitian(h[i]), _hermitian(h)[i])
+
+    def test_coordinates_are_c_ordered(self):
+        # numpy multiplies a strided stack by its own loop, which rounds
+        # unlike BLAS, so a strided gradient or Jacobian would break the rule
+        # that a lone chain takes the bits it takes in a stack
+        g = worker_rng(35).standard_normal((5, 2, 4, 4)) + 0j
+        assert _coords(g).flags.c_contiguous
+        assert _hermitian(_coords(g)).flags.c_contiguous
 
     def test_basis_is_orthonormal(self):
         basis = _hermitian(np.eye(16))
