@@ -109,13 +109,16 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("grid must be >= 2")
     if cfg.dim_b < 1:
         raise ConfigError("dim-b must be >= 1")
-    if not 0.0 < cfg.tolerance < np.inf:
+    if not (isinstance(cfg.tolerance, (int, float)) and 0.0 < cfg.tolerance < np.inf):
         raise ConfigError("tolerance must be finite and > 0")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
-    row = KINDS.get(cfg.kind)
+    # the registries are keyed by str, and an unhashable key would raise TypeError
+    if not isinstance(cfg.command, str) or cfg.command not in _COMMANDS:
+        raise ConfigError(f"unknown command {cfg.command!r}")
+    row = KINDS.get(cfg.kind) if isinstance(cfg.kind, str) else None
     if row is None or any(getattr(row, need) is None for need in _COMMANDS[cfg.command].needs):
         raise ConfigError(f"kind {cfg.kind!r} not supported by {cfg.command!r}")
 

@@ -1,8 +1,9 @@
 """Correlation monotones between a system and its surroundings.
 
 Every fact that differs between the correlation kinds lives in one place,
-the KINDS registry at the end: one row per MonotoneKind (see Kind). Adding
-a kind means adding a row; no other code dispatches on kind names.
+the KINDS registry at the end: one row per kind (see Kind), from which the
+MonotoneKind enum of their names is built. Adding a kind means adding a
+row; no other code dispatches on kind names.
 
 Mutual information is evaluated exactly. The Bures and Hellinger
 distance-to-product-states measures have closed forms on pure states,
@@ -42,12 +43,6 @@ from .qcore import (
     validate_spectrum,
     worker_rng,
 )
-
-
-class MonotoneKind(str, Enum):
-    MUTUAL_INFORMATION = "mutual_information"
-    BURES = "bures"
-    HELLINGER = "hellinger"
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,11 @@ def _hradil_step(r: np.ndarray, cur: np.ndarray, e: np.ndarray) -> np.ndarray:
     return (trial + trial.conj().swapaxes(-1, -2)) / norm[:, None, None]
 
 
-def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200):
+# Sweeps after which a Bures ascent stops however much it still gains.
+_BURES_SWEEPS = 200
+
+
+def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
     """Monotone alternating ascents for a mixed target, one chain per pair
     of the stacks sigma_a (n, d_A, d_A) and sigma_b (n, d_B, d_B). Returns
     the stacks reached and their root fidelities.
@@ -233,57 +232,48 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b, iters: int = 200
     accepted step doubles the factor's eps for the next sweep, and the
     factor gives up, keeping its eps, once eps <= 1e-12 or once a failed
     trial ties the current affinity up to rounding, val - new <= 1e-15 val.
-    A chain stops when a sweep gains at most 1e-15, or after ``iters`` >= 1
+    A chain stops when a sweep gains at most 1e-15, or after _BURES_SWEEPS
     sweeps. Each value returned is the root fidelity of the pair returned,
     so its distance errs high.
 
     Every round makes one trial on each chain still climbing, and all
-    trials share one batched eigh. Every operation acts on each chain
-    alone, so a chain's trials and result are those of its solo run.
+    trials share one batched eigh. Every array holds one row per chain,
+    read and written through the index ``live`` of the chains still
+    climbing. Every operation acts on each chain alone, so a chain's trials
+    and result are those of its solo run.
     """
     d_a, d_b = sigma_a.shape[-1], sigma_b.shape[-1]
     sigma_a, sigma_b = sigma_a.copy(), sigma_b.copy()
     val, grad = _bures_value_grad(sqrt_rho, _kron(sigma_a, sigma_b))
-    out_a, out_b, out_val = np.empty_like(sigma_a), np.empty_like(sigma_b), np.empty_like(val)
-    # the chains still climbing, in order; every array below holds one row per chain
-    chain = np.arange(val.size)
-    eps_a, eps_b, e = np.ones(chain.size), np.ones(chain.size), np.ones(chain.size)
-    on_a, sweeps, start = np.ones(chain.size, dtype=bool), np.zeros(chain.size, dtype=int), val
-    while chain.size:
+    eps_a, eps_b, e = np.ones(val.size), np.ones(val.size), np.ones(val.size)
+    on_a, sweeps, start = np.ones(val.size, dtype=bool), np.zeros(val.size, dtype=int), val.copy()
+    live = np.arange(val.size)
+    while live.size:
         # eps only grows by doubling an e > 1e-12, so each side makes a trial
-        on_b = ~on_a
+        side_a = on_a[live]
+        a, b = live[side_a], live[~side_a]
         g4 = grad.reshape(-1, d_a, d_b, d_a, d_b)
         trial_a, trial_b = sigma_a.copy(), sigma_b.copy()
-        if on_a.any():
-            r = np.einsum("nijkl,nlj->nik", g4[on_a], sigma_b[on_a])
-            trial_a[on_a] = _hradil_step(r, sigma_a[on_a], e[on_a])
-        if on_b.any():
-            r = np.einsum("nijkl,nki->njl", g4[on_b], sigma_a[on_b])
-            trial_b[on_b] = _hradil_step(r, sigma_b[on_b], e[on_b])
-        new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a, trial_b))
-        ok = new > val
-        tie = val - new <= 1e-15 * val  # a failed trial within rounding of val
-        sigma_a[ok], sigma_b[ok], grad[ok] = trial_a[ok], trial_b[ok], new_grad[ok]
-        val = np.where(ok, new, val)
-        eps_a = np.where(ok & on_a, 2.0 * e, eps_a)
-        eps_b = np.where(ok & on_b, 2.0 * e, eps_b)
-        e = np.where(ok, e, 0.5 * e)
-        ended = ok | (e <= 1e-12) | tie
-        swept = ended & on_b
-        sweeps = sweeps + swept
-        stop = swept & ((val <= start + 1e-15) | (sweeps >= iters))
-        start = np.where(swept, val, start)
-        on_a = on_a ^ ended
-        e = np.where(ended, np.where(on_a, eps_a, eps_b), e)
-        if stop.any():
-            done = chain[stop]
-            out_a[done], out_b[done], out_val[done] = sigma_a[stop], sigma_b[stop], val[stop]
-            keep = ~stop
-            chain, sigma_a, sigma_b, val, grad = (
-                chain[keep], sigma_a[keep], sigma_b[keep], val[keep], grad[keep])
-            eps_a, eps_b, e, on_a, sweeps, start = (
-                eps_a[keep], eps_b[keep], e[keep], on_a[keep], sweeps[keep], start[keep])
-    return out_a, out_b, out_val
+        trial_a[a] = _hradil_step(np.einsum("nijkl,nlj->nik", g4[a], sigma_b[a]), sigma_a[a], e[a])
+        trial_b[b] = _hradil_step(np.einsum("nijkl,nki->njl", g4[b], sigma_a[b]), sigma_b[b], e[b])
+        new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a[live], trial_b[live]))
+        ok = new > val[live]
+        tie = val[live] - new <= 1e-15 * val[live]  # a failed trial within rounding of val
+        up = live[ok]
+        sigma_a[up], sigma_b[up], grad[up], val[up] = trial_a[up], trial_b[up], new_grad[ok], new[ok]
+        e_live = e[live]
+        eps_a[live] = np.where(ok & side_a, 2.0 * e_live, eps_a[live])
+        eps_b[live] = np.where(ok & ~side_a, 2.0 * e_live, eps_b[live])
+        e_live = np.where(ok, e_live, 0.5 * e_live)
+        ended = ok | (e_live <= 1e-12) | tie
+        swept = ended & ~side_a
+        sweeps[live] += swept
+        stop = swept & ((val[live] <= start[live] + 1e-15) | (sweeps[live] >= _BURES_SWEEPS))
+        start[live] = np.where(swept, val[live], start[live])
+        on_a[live] ^= ended
+        e[live] = np.where(ended, np.where(on_a[live], eps_a[live], eps_b[live]), e_live)
+        live = live[~stop]
+    return sigma_a, sigma_b, val
 
 
 def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int,
@@ -376,3 +366,7 @@ KINDS = {
              closest=_hellinger_closest),
     )
 }
+
+# One member per row, in order, named by the row's name upper-cased; a
+# member is a str equal to that name, so it keys KINDS as the name does.
+MonotoneKind = Enum("MonotoneKind", {name.upper(): name for name in KINDS}, type=str)

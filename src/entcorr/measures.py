@@ -243,12 +243,12 @@ def _orbit_face(vectors, k):
 
 
 def _face_step(vectors, q: np.ndarray, g: np.ndarray):
-    """Face data of orbit points on spectra of rank r = 2 or 3, with
-    ``vectors`` and g their vectors and gradient of F from
-    _orbit_objective. Returns whether each point is on the face,
-    mu_r < _FACE (mu_{r-1} - mu_r) with J of full rank; the gradient to
-    climb; the lift, mu_r on the face and 0 off it; J of _orbit_face and
-    its pseudo-inverse J+; and mu_r.
+    """Face data of orbit points, with ``vectors`` and g their vectors and
+    gradient of F from _orbit_objective. Returns whether each point is on
+    the face, on a spectrum of rank r = 2 or 3 with mu_r < _FACE
+    (mu_{r-1} - mu_r) and J of full rank; the gradient to climb; the lift,
+    mu_r on the face and 0 off it; J of _orbit_face and its pseudo-inverse
+    J+; and mu_r, or inf on a spectrum of rank 1 or 4, which has no face.
 
     On the face F + mu_r is smooth. The gradient to climb is its gradient
     projected onto the null space of J, which is the projection of g,
@@ -258,9 +258,11 @@ def _face_step(vectors, q: np.ndarray, g: np.ndarray):
     3. Off the face J and J+ are zeros and g is kept, so every product with
     them leaves a plain BFGS step as it is.
     """
-    k = (q > 0.0).sum(axis=1) - 1
+    rank = (q > 0.0).sum(axis=1)
+    k = np.clip(rank - 1, 1, 2)  # index of mu_r; any valid one on rank 1 or 4
     mu, jac = _orbit_face(vectors, k)
     before, mu_r = np.take_along_axis(mu, k[:, None] - np.array([1, 0]), axis=1).T
+    mu_r = np.where(k == rank - 1, mu_r, np.inf)
     # J+ = J^T (J J^T)^-1, with the 2 x 2 inverse written out
     gram = jac @ jac.swapaxes(-1, -2)
     a, b, c = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1]
@@ -304,8 +306,10 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     t d, the inverse Hessian resets to the identity when the chain enters
     or leaves the face, and the gradient stop reads the projected gradient
     norm plus mu_r. Such a chain also stops once an accepted step raises F
-    by less than F's resolution while mu_r is below it too. Chains on
-    spectra of rank 1 or 4 take none of these steps.
+    by less than F's resolution while mu_r is below it too. Every chain
+    passes through _face_step at its start and after each accepted step;
+    on spectra of rank 1 or 4 it keeps them off the face with mu_r = inf,
+    so they take none of these steps.
 
     Chain 0 of each spectrum starts at the identity, the others at Haar
     unitaries drawn in turn from its generator. All P x restarts chains
@@ -327,12 +331,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     d = np.zeros((chains, 16))
     slope, t = np.zeros(chains), np.zeros(chains)
     halvings, steps = np.zeros(chains, dtype=int), np.zeros(chains, dtype=int)
-    # Face data (_face_step); zeros on chains off the face.
-    kinked = np.isin((q > 0.0).sum(axis=1), (2, 3))
-    face, lift = np.zeros(chains, dtype=bool), np.zeros(chains)
-    jac, jp = np.zeros((chains, 2, 16)), np.zeros((chains, 16, 2))
-    c = np.flatnonzero(kinked)
-    face[c], g[c], lift[c], jac[c], jp[c], _ = _face_step([a[c] for a in vectors], q[c], g[c])
+    face, g, lift, jac, jp, _ = _face_step(vectors, q, g)
     # Every round makes one trial step on each chain still searching, so a
     # chain's line search does not wait for the others'.
     fresh, live = np.arange(chains), np.arange(0)
@@ -357,16 +356,12 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
         u_try = _rotate(u[live], t[live, None] * d[live] - newton[:, None] * jp[live, :, 0])
         f_try, g_try, vectors = _orbit_objective(u_try, q[live])
         ok = f_try >= f[live] + _ARMIJO * rise
-        moved, f_try, g_try = live[ok], f_try[ok], g_try[ok]
-        stop = np.zeros(moved.size, dtype=bool)
+        moved, f_try = live[ok], f_try[ok]
         was_on = face[moved]
-        kink = kinked[moved]
-        if kink.any():
-            c = moved[kink]
-            vectors = [a[ok][kink] for a in vectors]
-            face[c], g_try[kink], lift[c], jac[c], jp[c], mu_r = _face_step(vectors, q[c], g_try[kink])
-            res = _F_RESOLUTION * np.maximum(1.0, np.abs(f_try[kink]))
-            stop[kink] = (f_try[kink] - f[c] < res) & (mu_r < res)
+        face[moved], g_try, lift[moved], jac[moved], jp[moved], mu_r = _face_step(
+            [a[ok] for a in vectors], q[moved], g_try[ok])
+        res = _F_RESOLUTION * np.maximum(1.0, np.abs(f_try))
+        stop = (f_try - f[moved] < res) & (mu_r < res)
         switched = face[moved] != was_on
         hinv[moved[switched]] = _EYE16
         s, y = t[moved, None] * d[moved], g[moved] - g_try  # y: the change of the gradient of -F

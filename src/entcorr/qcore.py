@@ -340,11 +340,6 @@ def random_spectrum(size: int, rng: np.random.Generator) -> np.ndarray:
 # State constructors
 # ---------------------------------------------------------------------------
 
-def projector(psi) -> np.ndarray:
-    psi = validate_pure_state(psi)
-    return np.outer(psi, psi.conj())
-
-
 def _strictly_correlated_cc(p: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     """Stack form of strictly_correlated_cc for spectra (..., k), padded with
     zeros or not, k <= min(d_a, d_b); unchecked."""

@@ -260,6 +260,18 @@ class TestExitCodes:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("command", "nope"), ("command", ["gd"]), ("tolerance", "0.1"), ("tolerance", None),
+        ("kind", ["bures"]),
+    ], ids=["command", "command-list", "tolerance-str", "tolerance-none", "kind-list"])
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, field, value):
+        # argparse never builds these; a RunConfig built in code may
+        out = tmp_path / "g.csv"
+        cfg = cli.RunConfig(**{"command": "gd", "out": str(out), field: value})
+        assert cli.run(cfg) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestJSONMatchesCSV:
     @pytest.mark.parametrize("argv", [

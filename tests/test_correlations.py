@@ -25,7 +25,6 @@ from entcorr.qcore import (
     hellinger_distance,
     matrix_sqrt_psd,
     partial_trace,
-    projector,
     purify,
     random_density,
     random_spectrum,
@@ -54,7 +53,7 @@ class TestMutualInformation:
         assert mutual_information(rho, (2, 3)) < 1e-10
 
     def test_bell(self):
-        assert abs(mutual_information(projector(BELL), (2, 2)) - 2 * math.log(2)) < 1e-12
+        assert abs(mutual_information(np.outer(BELL, BELL.conj()), (2, 2)) - 2 * math.log(2)) < 1e-12
 
     def test_strictly_correlated_cc(self):
         # classical joint distribution p_ij = p_i delta_ij: S(A) = S(B) =
@@ -67,7 +66,7 @@ class TestMutualInformation:
             psi = haar_pure(8, RNG)
             lam = schmidt(psi, (2, 4))
             expected = -2.0 * float((lam * np.log(lam)).sum())
-            assert abs(mutual_information(projector(psi), (2, 4)) - expected) < 1e-9
+            assert abs(mutual_information(np.outer(psi, psi.conj()), (2, 4)) - expected) < 1e-9
 
 
 class TestSpectralFunctions:
@@ -180,7 +179,7 @@ class TestCDistanceNumeric:
     def test_exact_distances_of_product_targets_do_not_cancel(self):
         # sqrt(2 - 2 s1) read up to 4.7e-8 here, with s1 a few ulps below 1
         zero = np.eye(4)[0]
-        pure = np.kron(projector(BELL), np.outer(zero, zero))
+        pure = np.kron(np.outer(BELL, BELL.conj()), np.outer(zero, zero))
         for kind in ("bures", "hellinger"):
             assert c_distance_numeric(pure, (4, 4), kind) <= 1e-14
         rng = worker_rng(5)
@@ -191,7 +190,7 @@ class TestCDistanceNumeric:
     def test_pure_states_match_closed_form(self):
         for i in range(10):
             psi = haar_pure(8, RNG)
-            rho = projector(psi)
+            rho = np.outer(psi, psi.conj())
             for kind in ("bures", "hellinger"):
                 exact = c_on_pure(psi, (4, 2), kind)
                 num = c_distance_numeric(rho, (4, 2), kind, restarts=3, rng=worker_rng(5, i))
@@ -213,7 +212,7 @@ class TestCDistanceNumeric:
         # the reduced state cannot exceed the pure-state value
         for i in range(100):
             psi = haar_pure(16, RNG)
-            rho_ab1 = partial_trace(projector(psi), (8, 2), keep=1)
+            rho_ab1 = partial_trace(np.outer(psi, psi.conj()), (8, 2), keep=1)
             for kind, budget in (
                 ("bures", dict(restarts=4)),
                 ("hellinger", dict(restarts=2)),
@@ -241,8 +240,9 @@ class TestCDistanceNumeric:
 
         cc = strictly_correlated_cc(np.array([0.4, 0.3, 0.2, 0.1]), 4, 4)
         psi = haar_pure(16, worker_rng(41))
-        mixed = partial_trace(projector(psi), (8, 2), keep=1)
-        pure = projector(haar_pure(16, worker_rng(42)))
+        mixed = partial_trace(np.outer(psi, psi.conj()), (8, 2), keep=1)
+        phi = haar_pure(16, worker_rng(42))
+        pure = np.outer(phi, phi.conj())
         rows = [
             (cc, (4, 4), "hellinger"),
             (mixed, (4, 2), "bures"),
@@ -358,7 +358,8 @@ class TestBuresStack:
         # rank-2 targets: 4 x 2 reductions of Haar states on 16 dimensions
         targets = worker_rng(71)
         for i in range(20):
-            rho = partial_trace(projector(haar_pure(16, targets)), (8, 2), keep=1)
+            psi = haar_pure(16, targets)
+            rho = partial_trace(np.outer(psi, psi.conj()), (8, 2), keep=1)
             for restarts in (1, 2, 4, 10):
                 ref_rng, rng = worker_rng(72, i), worker_rng(72, i)
                 want = sequential_bures_closest(rho, 4, 2, restarts, ref_rng)

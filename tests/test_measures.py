@@ -9,6 +9,7 @@ from entcorr.measures import (
     MAX_EF_BASIS,
     _concurrence_eig,
     _coords,
+    _face_step,
     _hermitian,
     _max_ef_orbit,
     _orbit_face,
@@ -26,7 +27,6 @@ from entcorr.qcore import (
     DomainError,
     haar_unitary,
     pad_spectrum,
-    projector,
     random_density,
     random_spectrum,
     schmidt,
@@ -44,12 +44,12 @@ YY = np.kron(PAULI_Y, PAULI_Y).real  # real in the computational basis
 
 
 def werner(w):
-    return w * projector(PSI_MINUS) + (1 - w) * np.eye(4) / 4
+    return w * np.outer(PSI_MINUS, PSI_MINUS.conj()) + (1 - w) * np.eye(4) / 4
 
 
 class TestConcurrence:
     def test_bell(self):
-        assert abs(concurrence(projector(BELL)) - 1.0) < 1e-12
+        assert abs(concurrence(np.outer(BELL, BELL.conj())) - 1.0) < 1e-12
 
     def test_maximally_mixed(self):
         assert concurrence(np.eye(4) / 4) == 0.0
@@ -105,7 +105,7 @@ class TestConcurrence:
 
 class TestEntanglementOfFormation:
     def test_bell_is_ln2(self):
-        assert abs(entanglement_of_formation(projector(BELL)) - LN2) < 1e-12
+        assert abs(entanglement_of_formation(np.outer(BELL, BELL.conj())) - LN2) < 1e-12
 
     def test_separable_diagonal(self):
         assert entanglement_of_formation(np.diag([0.4, 0.3, 0.2, 0.1])) == 0.0
@@ -116,7 +116,7 @@ class TestEntanglementOfFormation:
         a = (2.0 + math.sqrt(3.0)) / 4.0
         psi = np.zeros(4, dtype=complex)
         psi[0], psi[3] = math.sqrt(a), math.sqrt(1 - a)
-        rho = projector(psi)
+        rho = np.outer(psi, psi.conj())
         assert abs(concurrence(rho) - 0.5) < 1e-12
         ef = entanglement_of_formation(rho)
         assert abs(ef - v(0.5)) < 1e-12
@@ -148,7 +148,7 @@ class TestNegativity:
         assert abs(negativity(rho, (2, 2))) < 1e-12
 
     def test_bell_partial_transpose_spectrum(self):
-        rho = projector(BELL)
+        rho = np.outer(BELL, BELL.conj())
         pt = rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4)
         w = np.sort(np.linalg.eigvalsh(pt))
         assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5])
@@ -398,6 +398,28 @@ class TestOrbitGradient:
             scale = np.linalg.norm(jac)
             assert np.linalg.norm(numeric.real - jac[0]) <= 1e-6 * scale
             assert np.linalg.norm(numeric.imag - jac[1]) <= 1e-6 * scale
+
+    def test_face_step_takes_every_rank(self):
+        # rows of rank 1 and 4 have no face and pass through unchanged; rows
+        # of rank 2 and 3 get what a call on them alone gives, both on the
+        # face (the ends of ascents) and off it (Haar points)
+        rng = worker_rng(36)
+        ranks = np.tile([1, 2, 3, 4], 2)
+        q = np.array([pad_spectrum(random_spectrum(r, rng), 4) for r in ranks])
+        ends = _max_ef_orbit(q[:4], 8, 300, [worker_rng(37, i) for i in range(4)])[1]
+        u = np.concatenate([ends, [haar_unitary(4, rng) for _ in range(4)]])
+        _, g, vectors = _orbit_objective(u, q)
+        on, g_face, lift, jac, jp, mu_r = out = _face_step(vectors, q, g)
+        flat = (ranks == 1) | (ranks == 4)
+        assert not on[flat].any()
+        assert not jac[flat].any() and not jp[flat].any() and not lift[flat].any()
+        assert g_face[flat].tobytes() == g[flat].tobytes()
+        assert np.all(mu_r[flat] == np.inf)
+        kinked = np.flatnonzero(~flat)
+        assert on[kinked].any() and not on[kinked].all()
+        alone = _face_step([a[kinked] for a in vectors], q[kinked], g[kinked])
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[kinked], want)
 
     def test_lone_rows_round_as_in_a_stack(self):
         # the coordinate maps act elementwise, so a lone matrix or row maps

@@ -14,7 +14,6 @@ from entcorr.qcore import (
     hellinger_distance,
     matrix_sqrt_psd,
     partial_trace,
-    projector,
     purify,
     random_density,
     random_spectrum,
@@ -44,7 +43,7 @@ class TestSpectrum:
         assert np.allclose(spectrum(np.eye(4) / 4), np.full(4, 0.25))
 
     def test_pure_projector(self):
-        assert np.allclose(spectrum(projector(BELL)), [1.0])
+        assert np.allclose(spectrum(np.outer(BELL, BELL.conj())), [1.0])
 
     def test_diagonal(self):
         assert np.allclose(spectrum(np.diag([0.6, 0.4])), [0.6, 0.4])
@@ -61,7 +60,7 @@ class TestSpectrum:
 
 class TestPartialTrace:
     def test_bell_marginal(self):
-        red = partial_trace(projector(BELL), (2, 2), keep=1)
+        red = partial_trace(np.outer(BELL, BELL.conj()), (2, 2), keep=1)
         assert np.allclose(red, np.eye(2) / 2)
 
     def test_product_factorization(self):
@@ -82,7 +81,8 @@ class TestPurify:
         assert np.allclose(schmidt(psi, (2, 2)), [0.5, 0.5])
 
     def test_pure_input_stays_product(self):
-        psi = purify(projector(haar_pure(3, RNG)))
+        phi = haar_pure(3, RNG)
+        psi = purify(np.outer(phi, phi.conj()))
         assert psi.size == 3  # rank-one ancilla
         assert np.allclose(schmidt(psi, (3, 1)), [1.0])
 
@@ -96,7 +96,7 @@ class TestPurify:
             rho = random_state(dim, RNG)
             psi = purify(rho)
             rank = psi.size // dim
-            back = partial_trace(projector(psi), (dim, rank), keep=1)
+            back = partial_trace(np.outer(psi, psi.conj()), (dim, rank), keep=1)
             assert np.max(np.abs(back - rho)) < 1e-10
 
 
@@ -117,14 +117,14 @@ class TestSchmidt:
         for _ in range(10):
             psi = haar_pure(12, RNG)
             p = schmidt(psi, (3, 4))
-            q = spectrum(partial_trace(projector(psi), (3, 4), keep=1))
+            q = spectrum(partial_trace(np.outer(psi, psi.conj()), (3, 4), keep=1))
             n = min(p.size, q.size)
             assert np.max(np.abs(p[:n] - q[:n])) < 1e-10
 
 
 class TestEntropies:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(projector(BELL)) == 0.0
+        assert von_neumann_entropy(np.outer(BELL, BELL.conj())) == 0.0
 
     def test_maximally_mixed(self):
         assert abs(von_neumann_entropy(np.eye(4) / 4) - np.log(4)) < 1e-12
