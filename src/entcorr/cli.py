@@ -2,14 +2,20 @@
 entanglement-correlation trade-off, tightness and classical-classical
 boundary experiments, and the slice-solver oracle comparison.
 
-Subcommands: curve | verify | tightness | ccbound | gd. All runs are
-deterministic functions of their configuration (seed and worker count
-included); outputs are CSV with 17-significant-digit floats (%.17g), or
-JSON with Python's shortest round-trip floats, both with LF endings. A
-JSON report's "config" block records every RunConfig field, --out
-included, so the same run written to two paths differs in that one field.
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
-(violation) error.
+Commands: curve | verify | tightness | ccbound | gd, flags before or after.
+Output is CSV with 17-significant-digit floats (%.17g), or JSON with
+Python's shortest round-trip floats, with LF endings. A JSON "config" block
+records every RunConfig field, --out included, so the same run written to
+two paths differs in that one field. Exit codes: 0 success, 2 config
+error, 3 I/O error, 4 assertion (violation) error.
+
+The same config (seed and worker count included) gives the same bytes
+under one BLAS kernel. Under another (tests/test_blas_kernels.py) the
+grids and closed forms keep their bytes: curve, gd, verify's idx and
+tightness's x, bound and c_pure. Columns through LAPACK move by rounding,
+at most: verify's x 1.5e-14, e 1e-15, bound and slack 1e-14; tightness's
+ef_numeric and gap_numeric 2e-14, ef_construct and gap_construct 2e-15;
+ccbound's c_numeric and ef_a 0 at grid 6 (1.1e-16 seen at grid 50).
 """
 
 from __future__ import annotations
@@ -52,9 +58,9 @@ class _Command(NamedTuple):
     """One row of _COMMANDS, the command-side twin of correlations.KINDS:
     what differs between the commands, whose runners are run_<command>.
     ``needs``: the fields a kind's registry row must fill for the command
-    to accept the kind. ``defaults``: the parser defaults that differ from
-    RunConfig's. ``header``: the fields a CSV header lists after the version.
-    """
+    to accept the kind. ``defaults``: the values, over RunConfig's, that
+    config_from_args gives the fields no flag sets. ``header``: the fields
+    a CSV header lists after the version."""
 
     needs: tuple[str, ...] = ()
     defaults: dict = {}
@@ -103,16 +109,13 @@ def validate_config(cfg: RunConfig) -> None:
             operator.index(value)
         except TypeError:
             raise ConfigError(f"{name.replace('_', '-')} must be an integer, got {value!r}") from None
-    if cfg.samples < 1:
-        raise ConfigError("samples must be >= 1")
-    if cfg.grid < 2:
-        raise ConfigError("grid must be >= 2")
-    if cfg.dim_b < 1:
-        raise ConfigError("dim-b must be >= 1")
+    for name, low in (("samples", 1), ("grid", 2), ("dim_b", 1), ("workers", 1)):
+        if getattr(cfg, name) < low:
+            raise ConfigError(f"{name.replace('_', '-')} must be >= {low}")
     if not (isinstance(cfg.tolerance, (int, float)) and 0.0 < cfg.tolerance < np.inf):
         raise ConfigError("tolerance must be finite and > 0")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
+    if not (cfg.out is None or isinstance(cfg.out, str)) or not isinstance(cfg.full, bool):
+        raise ConfigError(f"out must be a str or None and full a bool, got {cfg.out!r}, {cfg.full!r}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
     # the registries are keyed by str, and an unhashable key would raise TypeError
@@ -289,16 +292,14 @@ def run_ccbound(cfg: RunConfig) -> tuple:
     witness on f_cc_kind = scale x, whose correlation is x; c_gap compares
     c_numeric, the row's distance to the product states, with x. The
     states are built as one stack and validated once; ef_a is read from
-    the eigh of their A-marginals. The search budget (10 restarts, one
-    Generator) acts on Bures mixed targets only, and no kind with a cc
-    curve has that kernel."""
+    the eigh of their A-marginals. No kind with a cc curve has the Bures
+    kernel, the one closest that takes a search budget."""
     row = KINDS[cfg.kind]
     cc_kind, scale = row.cc  # the CC correlation is f_cc_kind / scale
     xs = np.linspace(0.0, c_max(cc_kind, 4) / scale, cfg.grid)
     states = _strictly_correlated_cc(optimal_slice_spectrum(cc_kind, scale * xs), 4, 4)
     rho, w, u = validate_density_stack(states)
-    rng = worker_rng(0, 0)
-    c_num = np.array([row.closest(*state, 4, 4, 10, rng)[0] for state in zip(rho, w, u)])
+    c_num = np.array([row.closest(*state, 4, 4)[0] for state in zip(rho, w, u)])
     e_a = _ef_eig(*np.linalg.eigh(_partial_trace(rho, 4, 4, 1)))
     zeta = zeta_ef(cfg.kind, xs)
     c_gap = c_num - xs
@@ -335,27 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entcorr",
         description="Entanglement versus external correlations: curves and experiments",
+        argument_default=argparse.SUPPRESS,  # a flag left out is left out of the namespace
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        # A flag left out takes RunConfig's default, or the command's own.
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--dim-b", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--kind")
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--full", action="store_true")
-        p.add_argument("--workers", type=int)
-        p.set_defaults(**command.defaults)
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--dim-b", type=int)
+    parser.add_argument("--grid", type=int)
+    parser.add_argument("--kind")
+    parser.add_argument("--tolerance", type=float)
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=("csv", "json"))
+    parser.add_argument("--full", action="store_true")
+    parser.add_argument("--workers", type=int)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(**vars(args))
+    return RunConfig(**{**_COMMANDS[args.command].defaults, **vars(args)})
 
 
 def run(cfg: RunConfig) -> int:

@@ -57,10 +57,10 @@ class Kind:
       (CC) state with spectrum p has correlation f~(p) = f_cc_kind(p) / scale,
       so this kind's CC curve is zeta(x) = xi_cc_kind(scale x); None where no
       closed form is known.
-    - ``closest``: (rho, w, v, d_a, d_b, restarts, rng) -> (distance,
-      sigma_A, sigma_B) on unchecked inputs, with w and v the eigh of rho
-      that its validator returns: the distance to the product states and
-      a product state attaining it; None for a kind that is no distance.
+    - ``closest``: (rho, w, v, d_a, d_b[, restarts, rng]) -> (distance,
+      sigma_A, sigma_B) on unchecked inputs, (w, v) the eigh of rho: the
+      distance to the product states and a product state attaining it;
+      None for a kind that is no distance. Only Bures reads restarts and rng.
 
     The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, the
     threshold of the closed-form curve is c_max(kind, 3), and the CC curve
@@ -217,6 +217,7 @@ def _hradil_step(r: np.ndarray, cur: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 # Sweeps after which a Bures ascent stops however much it still gains.
 _BURES_SWEEPS = 200
+_BURES_RESTARTS = 10  # ascents per mixed target, unless the caller sets them
 
 
 def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
@@ -277,7 +278,7 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
 
 
 def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int,
-                   restarts: int, rng: np.random.Generator):
+                   restarts: int = _BURES_RESTARTS, rng: np.random.Generator | None = None):
     """Bures distance from rho = v diag(w) v^dagger to the product states,
     with the product state (sigma_A, sigma_B) that attains it. Inputs are
     not validated.
@@ -286,11 +287,11 @@ def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b:
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
     attained by its top Schmidt pair. On a mixed target it keeps the best
     of ``restarts`` ascents, from the marginals of rho, from maximally mixed
-    factors and from full-rank random factors, drawn from ``rng`` as
-    random_density(d_A) then random_density(d_B) for each later restart;
-    starts are full rank because a Hradil step R sigma R^dagger keeps the
-    rank. The ascents run as one stack, each with the trials of its solo
-    run, and the first of equal best values is kept. ``restarts`` and
+    factors and from full-rank random factors, drawn from ``rng`` (None:
+    worker_rng(0, 0)) as random_density(d_A) then random_density(d_B) for
+    each later restart, full rank as a Hradil step R sigma R^dagger keeps
+    the rank. The ascents run as one stack, each with the trials of its
+    solo run; the first of equal best values is kept. ``restarts`` and
     ``rng`` act on this case only.
     """
     if np.trace(rho @ rho).real > 1.0 - 1e-12:
@@ -298,6 +299,7 @@ def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b:
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
         return _distance_sv(s), sigma_a, sigma_b
+    rng = worker_rng(0, 0) if rng is None else rng
     starts_a = [_partial_trace(rho, d_a, d_b, 1), np.eye(d_a) / d_a]
     starts_b = [_partial_trace(rho, d_a, d_b, 2), np.eye(d_b) / d_b]
     for _ in range(2, restarts):
@@ -316,7 +318,7 @@ def c_distance_numeric(
     rho,
     split,
     kind,
-    restarts: int = 10,
+    restarts: int = _BURES_RESTARTS,
     rng: np.random.Generator | None = None,
 ) -> float:
     """Distance from rho to the product-state set, attained by a product state.
@@ -332,13 +334,13 @@ def c_distance_numeric(
     most 1e-12 or a failed trial ties the current fidelity within 1e-15
     relative), the first from the marginals of rho, the second from
     maximally mixed factors, the rest from full-rank random factors drawn
-    from ``rng``, and returns the best. The ascents run as one stack, and
-    each makes the trials of its solo run, so the value does not depend on
-    how many run beside it. That value is attained by a product
-    state, so it errs high: never below the true infimum; the objective is
-    not jointly concave in the two factors, and the random starts reach
-    basins that the two fixed starts miss. ``restarts`` and ``rng`` act on
-    Bures mixed targets only.
+    from ``rng`` (None: worker_rng(0, 0)), and returns the best. The
+    ascents run as one stack, and each makes the trials of its solo run, so
+    the value does not depend on how many run beside it. That value is
+    attained by a product state, so it errs high: never below the true
+    infimum; the objective is not jointly concave in the two factors, and
+    the random starts reach basins that the two fixed starts miss.
+    ``restarts`` and ``rng`` act on Bures mixed targets only.
     """
     row = kind_of(kind)
     if row.closest is None:
@@ -349,7 +351,6 @@ def c_distance_numeric(
         raise DomainError("supported up to total dimension 64")
     if _check_index(restarts, "restarts") < 1:
         raise DomainError("need restarts >= 1")
-    rng = worker_rng(0, 0) if rng is None else rng
     return float(row.closest(rho, w, v, d_a, d_b, restarts, rng)[0])
 
 

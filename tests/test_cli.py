@@ -1,5 +1,6 @@
 """Command-line contract: determinism of the output bytes and the exit codes."""
 
+import contextlib
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from entcorr import cli, qcore
+from entcorr import cli, correlations, qcore
 from entcorr.bounds import xi_ef
 from entcorr.cli import main
 from entcorr.correlations import c_max, f_value
@@ -260,17 +261,28 @@ class TestExitCodes:
         assert "must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("field, value", [
-        ("command", "nope"), ("command", ["gd"]), ("tolerance", "0.1"), ("tolerance", None),
-        ("kind", ["bures"]),
-    ], ids=["command", "command-list", "tolerance-str", "tolerance-none", "kind-list"])
-    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, field, value):
-        # argparse never builds these; a RunConfig built in code may
+    @pytest.mark.parametrize("fields", [
+        {"command": "nope"}, {"command": ["gd"]}, {"tolerance": "0.1"}, {"tolerance": None},
+        {"kind": ["bures"]}, {"out": "pipe"}, {"out": "path", "format": "json"}, {"full": "yes"},
+    ], ids=["command", "command-list", "tolerance-str", "tolerance-none", "kind-list",
+            "out-fd", "out-path", "full-str"])
+    def test_malformed_field_is_a_config_error(self, tmp_path, capsys, fields):
+        # argparse never builds these; a RunConfig built in code may. The int
+        # out is one end of the test's own pipe, since a run that opened it
+        # would close it; a Path is no JSON value.
         out = tmp_path / "g.csv"
-        cfg = cli.RunConfig(**{"command": "gd", "out": str(out), field: value})
-        assert cli.run(cfg) == 2
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+        read, write = os.pipe()
+        try:
+            given = {"pipe": write, "path": out}.get(fields.get("out"), str(out))
+            cfg = cli.RunConfig(**{"command": "gd", **fields, "out": given})
+            assert cli.run(cfg) == 2
+            assert "config error" in capsys.readouterr().err
+            assert not out.exists()
+            os.fstat(write)  # still open
+        finally:
+            for fd in (read, write):
+                with contextlib.suppress(OSError):
+                    os.close(fd)
 
 
 class TestJSONMatchesCSV:
@@ -299,6 +311,20 @@ class TestJSONMatchesCSV:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_a_flag_left_out_takes_the_command_default(self, command):
+        defaults = cli._COMMANDS[command].defaults
+        parse = cli.build_parser().parse_args
+        assert cli.config_from_args(parse([command])) == cli.RunConfig(command, **defaults)
+        for flag, value in (("--grid", 7), ("--tolerance", 0.5)):
+            cfg = cli.config_from_args(parse([command, flag, str(value)]))
+            assert cfg == cli.RunConfig(command, **{**defaults, flag[2:]: value})
+
+    def test_flags_go_before_or_after_the_command(self):
+        parse = cli.build_parser().parse_args
+        after = parse(["gd", "--grid", "3", "--seed", "2"])
+        assert parse(["--grid", "3", "gd", "--seed", "2"]) == after
+
     def test_built_once_and_unchanged_by_parsing(self):
         parser = cli.build_parser()
         assert cli.build_parser() is parser
@@ -322,6 +348,15 @@ class TestCCBound:
         assert len(rows) == 2000
         assert all(abs(float(row["c_gap"])) <= 1e-15 for row in rows)
         assert all(float(row["ef_a"]) <= float(row["zeta"]) for row in rows)
+
+    def test_draws_no_generator(self, tmp_path, monkeypatch):
+        # the one closest kernel with a cc curve is the exact Hellinger one
+        def banned(*args):
+            raise AssertionError("ccbound drew a generator")
+
+        monkeypatch.setattr(cli, "worker_rng", banned)
+        monkeypatch.setattr(correlations, "worker_rng", banned)
+        assert main(["ccbound", "--grid", "3", "--out", str(tmp_path / "cc.csv")]) == 0
 
     def test_validates_the_built_states_once(self, tmp_path, monkeypatch):
         shapes = []

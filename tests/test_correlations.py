@@ -386,6 +386,22 @@ class TestBuresStack:
         c_distance_numeric(m @ m.conj().T, (4, 2), "bures")
         assert len(calls) == 45
 
+    def test_no_generator_draws_from_stream_zero(self):
+        targets = worker_rng(73)
+        for rank in (2, 5, 8):
+            rho = random_density(8, rank, targets)
+            alone = c_distance_numeric(rho, (4, 2), "bures")
+            given = c_distance_numeric(rho, (4, 2), "bures", rng=worker_rng(0, 0))
+            assert np.float64(alone).tobytes() == np.float64(given).tobytes()
+
+    def test_hellinger_draws_no_generator(self, monkeypatch):
+        def banned(*args):
+            raise AssertionError("the exact Hellinger kernel drew a generator")
+
+        monkeypatch.setattr(correlations, "worker_rng", banned)
+        rho = random_density(8, 3, worker_rng(74))
+        assert 0.0 < c_distance_numeric(rho, (4, 2), "hellinger") < math.sqrt(2.0)
+
 
 class TestRegistry:
     def test_one_row_per_kind(self):
