@@ -103,16 +103,20 @@ class RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
+    # a bool passes as an int, but would be written as True or False
     for name in ("seed", "samples", "dim_b", "grid", "workers"):
         value = getattr(cfg, name)
         try:
             operator.index(value)
+            if isinstance(value, bool):
+                raise TypeError
         except TypeError:
             raise ConfigError(f"{name.replace('_', '-')} must be an integer, got {value!r}") from None
     for name, low in (("samples", 1), ("grid", 2), ("dim_b", 1), ("workers", 1)):
         if getattr(cfg, name) < low:
             raise ConfigError(f"{name.replace('_', '-')} must be >= {low}")
-    if not (isinstance(cfg.tolerance, (int, float)) and 0.0 < cfg.tolerance < np.inf):
+    tol = cfg.tolerance
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0.0 < tol < np.inf):
         raise ConfigError("tolerance must be finite and > 0")
     if not (cfg.out is None or isinstance(cfg.out, str)) or not isinstance(cfg.full, bool):
         raise ConfigError(f"out must be a str or None and full a bool, got {cfg.out!r}, {cfg.full!r}")

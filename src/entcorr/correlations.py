@@ -13,10 +13,11 @@ the f of a kind. For arbitrary states the distance to the product
 states is solved exactly where the mathematics allows: for Hellinger on
 every target, from one SVD of the realigned sqrt(rho), and for Bures on
 pure targets, from the top Schmidt pair. Bures on mixed targets stays
-iterative: monotone ascents of the root fidelity from the marginals, from
-maximally mixed factors and from random full-rank factors. Their best
-value is attained by a product state, so it errs high. Every solver
-returns the product state it attains.
+iterative: monotone ascents of the root fidelity, each stepping both
+factors at once with one step size, from the marginals, from maximally
+mixed factors and from random full-rank factors. Their best value is
+attained by a product state, so it errs high. Every solver returns the
+product state it attains.
 """
 
 from __future__ import annotations
@@ -207,35 +208,36 @@ def _kron(sigma_a: np.ndarray, sigma_b: np.ndarray) -> np.ndarray:
     return prod.reshape(n, d_a * d_b, d_a * d_b)
 
 
-def _hradil_step(r: np.ndarray, cur: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """R cur R^dagger / tr with R = I + e r, Hermitian part; stacks of r and cur."""
-    step = np.eye(r.shape[-1]) + e[:, None, None] * r
+def _hradil_step(r: np.ndarray, cur: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """R cur R^dagger / tr with R = t I + r, Hermitian part; stacks of r, cur
+    and t. The ratio does not depend on the scale of R, so R = t I + r is the
+    diluted step I + r / t without a factor that grows with the step size."""
+    step = t[:, None, None] * np.eye(r.shape[-1]) + r
     trial = step @ cur @ step.conj().swapaxes(-1, -2)
     norm = 2.0 * np.trace(trial, axis1=-2, axis2=-1).real
     return (trial + trial.conj().swapaxes(-1, -2)) / norm[:, None, None]
 
 
-# Sweeps after which a Bures ascent stops however much it still gains.
-_BURES_SWEEPS = 200
+# Accepted steps after which a Bures ascent stops however much it still gains.
+_BURES_STEPS = 400
 _BURES_RESTARTS = 10  # ascents per mixed target, unless the caller sets them
 
 
 def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
-    """Monotone alternating ascents for a mixed target, one chain per pair
-    of the stacks sigma_a (n, d_A, d_A) and sigma_b (n, d_B, d_B). Returns
-    the stacks reached and their root fidelities.
+    """Monotone ascents for a mixed target, one chain per pair of the stacks
+    sigma_a (n, d_A, d_A) and sigma_b (n, d_B, d_B). Returns the stacks
+    reached and their root fidelities.
 
     For fixed sigma_B the root fidelity is concave in sigma_A with gradient
-    tr_B[G (I x sigma_B)] / 2, and symmetrically for sigma_B. A sweep steps
-    sigma_A, then sigma_B. Each factor takes a diluted Hradil step
-    sigma <- R sigma R / tr with R = I + eps R_grad, accepted only if the
-    affinity strictly rises and otherwise retried with eps halved; an
-    accepted step doubles the factor's eps for the next sweep, and the
-    factor gives up, keeping its eps, once eps <= 1e-12 or once a failed
-    trial ties the current affinity up to rounding, val - new <= 1e-15 val.
-    A chain stops when a sweep gains at most 1e-15, or after _BURES_SWEEPS
-    sweeps. Each value returned is the root fidelity of the pair returned,
-    so its distance errs high.
+    tr_B[G (I x sigma_B)] / 2, and symmetrically for sigma_B. Each step moves
+    both factors from the same G by a diluted Hradil step
+    sigma <- R sigma R / tr with R = I + eps R_grad, one eps per chain, held
+    as t = 1 / eps. A step is accepted only if the root fidelity strictly
+    rises; eps doubles on an accepted step, up to 2^52, and halves on a
+    rejected one. A chain stops when a rejected trial ties the current
+    value up to rounding, val - new <= 1e-15 val, or leaves eps <= 1e-12,
+    or after _BURES_STEPS accepted steps. Each value returned is the root
+    fidelity of the pair returned, so its distance errs high.
 
     Every round makes one trial on each chain still climbing, and all
     trials share one batched eigh. Every array holds one row per chain,
@@ -246,33 +248,21 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
     d_a, d_b = sigma_a.shape[-1], sigma_b.shape[-1]
     sigma_a, sigma_b = sigma_a.copy(), sigma_b.copy()
     val, grad = _bures_value_grad(sqrt_rho, _kron(sigma_a, sigma_b))
-    eps_a, eps_b, e = np.ones(val.size), np.ones(val.size), np.ones(val.size)
-    on_a, sweeps, start = np.ones(val.size, dtype=bool), np.zeros(val.size, dtype=int), val.copy()
-    live = np.arange(val.size)
+    t, steps, live = np.ones(val.size), np.zeros(val.size, dtype=int), np.arange(val.size)
     while live.size:
-        # eps only grows by doubling an e > 1e-12, so each side makes a trial
-        side_a = on_a[live]
-        a, b = live[side_a], live[~side_a]
-        g4 = grad.reshape(-1, d_a, d_b, d_a, d_b)
-        trial_a, trial_b = sigma_a.copy(), sigma_b.copy()
-        trial_a[a] = _hradil_step(np.einsum("nijkl,nlj->nik", g4[a], sigma_b[a]), sigma_a[a], e[a])
-        trial_b[b] = _hradil_step(np.einsum("nijkl,nki->njl", g4[b], sigma_a[b]), sigma_b[b], e[b])
-        new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a[live], trial_b[live]))
+        g4, a, b = grad[live].reshape(-1, d_a, d_b, d_a, d_b), sigma_a[live], sigma_b[live]
+        trial_a = _hradil_step(np.einsum("nijkl,nlj->nik", g4, b), a, t[live])
+        trial_b = _hradil_step(np.einsum("nijkl,nki->njl", g4, a), b, t[live])
+        new, new_grad = _bures_value_grad(sqrt_rho, _kron(trial_a, trial_b))
         ok = new > val[live]
-        tie = val[live] - new <= 1e-15 * val[live]  # a failed trial within rounding of val
         up = live[ok]
-        sigma_a[up], sigma_b[up], grad[up], val[up] = trial_a[up], trial_b[up], new_grad[ok], new[ok]
-        e_live = e[live]
-        eps_a[live] = np.where(ok & side_a, 2.0 * e_live, eps_a[live])
-        eps_b[live] = np.where(ok & ~side_a, 2.0 * e_live, eps_b[live])
-        e_live = np.where(ok, e_live, 0.5 * e_live)
-        ended = ok | (e_live <= 1e-12) | tie
-        swept = ended & ~side_a
-        sweeps[live] += swept
-        stop = swept & ((val[live] <= start[live] + 1e-15) | (sweeps[live] >= _BURES_SWEEPS))
-        start[live] = np.where(swept, val[live], start[live])
-        on_a[live] ^= ended
-        e[live] = np.where(ended, np.where(on_a[live], eps_a[live], eps_b[live]), e_live)
+        sigma_a[up], sigma_b[up], grad[up], val[up] = trial_a[ok], trial_b[ok], new_grad[ok], new[ok]
+        steps[up] += 1
+        # eps = 1 / t doubles up to 2^52, close to the undiluted step R = r;
+        # without this floor t underflows to 0 and stays there
+        t[live] = np.where(ok, np.maximum(0.5 * t[live], 2.0 ** -52), 2.0 * t[live])
+        tie = val[live] - new <= 1e-15 * val[live]
+        stop = (steps[live] >= _BURES_STEPS) | (~ok & (tie | (t[live] >= 1e12)))
         live = live[~stop]
     return sigma_a, sigma_b, val
 
@@ -286,7 +276,8 @@ def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b:
     On a pure target |psi> it is exact: the root fidelity with
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
     attained by its top Schmidt pair. On a mixed target it keeps the best
-    of ``restarts`` ascents, from the marginals of rho, from maximally mixed
+    of ``restarts`` ascents of _polish_bures_mixed, each stepping both
+    factors at once, from the marginals of rho, from maximally mixed
     factors and from full-rank random factors, drawn from ``rng`` (None:
     worker_rng(0, 0)) as random_density(d_A) then random_density(d_B) for
     each later restart, full rank as a Hradil step R sigma R^dagger keeps
@@ -330,16 +321,17 @@ def c_distance_numeric(
     values s_i, which is equal since sum_i s_i^2 = 1, and reads 0 to
     rounding at a product target, where the first form cancels.
     Bures on mixed targets runs ``restarts`` monotone ascents of the root
-    fidelity (diluted Hradil steps; a factor gives up once its step is at
-    most 1e-12 or a failed trial ties the current fidelity within 1e-15
-    relative), the first from the marginals of rho, the second from
-    maximally mixed factors, the rest from full-rank random factors drawn
-    from ``rng`` (None: worker_rng(0, 0)), and returns the best. The
-    ascents run as one stack, and each makes the trials of its solo run, so
-    the value does not depend on how many run beside it. That value is
-    attained by a product state, so it errs high: never below the true
-    infimum; the objective is not jointly concave in the two factors, and
-    the random starts reach basins that the two fixed starts miss.
+    fidelity (diluted Hradil steps of both factors at once, one step size
+    per ascent; an ascent stops once a failed trial leaves its step at most
+    1e-12 or ties the current fidelity within 1e-15 relative, or after
+    _BURES_STEPS accepted steps), the first from the marginals of rho, the
+    second from maximally mixed factors, the rest from full-rank random
+    factors drawn from ``rng`` (None: worker_rng(0, 0)), and returns the
+    best. The ascents run as one stack, and each makes the trials of its
+    solo run, so the value does not depend on how many run beside it. That
+    value is attained by a product state, so it errs high: never below the
+    true infimum; the objective is not jointly concave in the two factors,
+    and the random starts reach basins that the two fixed starts miss.
     ``restarts`` and ``rng`` act on Bures mixed targets only.
     """
     row = kind_of(kind)

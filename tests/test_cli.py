@@ -251,8 +251,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("samples", 2.5), ("dim_b", 2.5), ("grid", 2.5), ("workers", 2.5),
-        ("seed", "0"),
-    ], ids=["seed", "samples", "dim_b", "grid", "workers", "seed-str"])
+        ("seed", "0"), ("samples", True), ("seed", False),
+    ], ids=["seed", "samples", "dim_b", "grid", "workers", "seed-str", "samples-bool",
+            "seed-bool"])
     def test_non_integer_field_is_a_config_error(self, tmp_path, capsys, field, value):
         # argparse gives ints; a RunConfig built in code may not
         out = tmp_path / "v.csv"
@@ -264,8 +265,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("fields", [
         {"command": "nope"}, {"command": ["gd"]}, {"tolerance": "0.1"}, {"tolerance": None},
         {"kind": ["bures"]}, {"out": "pipe"}, {"out": "path", "format": "json"}, {"full": "yes"},
+        {"tolerance": True}, {"tolerance": True, "format": "json"},
     ], ids=["command", "command-list", "tolerance-str", "tolerance-none", "kind-list",
-            "out-fd", "out-path", "full-str"])
+            "out-fd", "out-path", "full-str", "tolerance-bool", "tolerance-bool-json"])
     def test_malformed_field_is_a_config_error(self, tmp_path, capsys, fields):
         # argparse never builds these; a RunConfig built in code may. The int
         # out is one end of the test's own pipe, since a run that opened it

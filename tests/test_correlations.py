@@ -255,6 +255,14 @@ class TestCDistanceNumeric:
             (random_density(8, rank, worker_rng(45, rank)), (4, 2), "hellinger")
             for rank in range(2, 9)
         ]
+        rows += [
+            (random_density(8, rank, worker_rng(46, rank)), (4, 2), "bures")
+            for rank in range(2, 9)
+        ]
+        rows += [
+            (random_density(12, rank, worker_rng(48, rank)), (4, 3), "bures")
+            for rank in (2, 5, 12)
+        ]
         distances = {"bures": bures_distance, "hellinger": hellinger_distance}
         for rho, split, kind in rows:
             value, sigma_a, sigma_b = KINDS[kind].closest(
@@ -306,34 +314,26 @@ def sequential_bures_closest(rho, d_a, d_b, restarts, rng):
         half = sqrt_rho @ vmat
         return float(root.sum()), (half * inv_root) @ half.conj().T
 
-    def polish(sqrt_rho, sigma_a, sigma_b, iters=200):
+    def polish(sqrt_rho, sigma_a, sigma_b, steps=400):
+        # one step size per chain, eps = 1 / t of the kernel's R = t I + r
         val, grad = value_grad(sqrt_rho, np.kron(sigma_a, sigma_b))
-        eps = [1.0, 1.0]
-        for _ in range(iters):
-            start = val
-            for side in (0, 1):
-                g4 = grad.reshape(d_a, d_b, d_a, d_b)
-                if side == 0:
-                    r, cur = np.einsum("ijkl,lj->ik", g4, sigma_b), sigma_a
-                else:
-                    r, cur = np.einsum("ijkl,ki->jl", g4, sigma_a), sigma_b
-                e = eps[side]
-                while e > 1e-12:
-                    step = np.eye(r.shape[0]) + e * r
-                    trial = step @ cur @ step.conj().T
-                    trial = (trial + trial.conj().T) / (2.0 * np.trace(trial).real)
-                    pair = (trial, sigma_b) if side == 0 else (sigma_a, trial)
-                    new, new_grad = value_grad(sqrt_rho, np.kron(*pair))
-                    if new > val:
-                        sigma_a, sigma_b = pair
-                        val, grad = new, new_grad
-                        eps[side] = 2.0 * e
-                        break
-                    if val - new <= 1e-15 * val:  # a tie up to rounding
-                        break
-                    e *= 0.5
-            if val <= start + 1e-15:
+        e = 1.0
+        while steps:
+            g4 = grad.reshape(d_a, d_b, d_a, d_b)
+            pair = []
+            for r, cur in ((np.einsum("ijkl,lj->ik", g4, sigma_b), sigma_a),
+                           (np.einsum("ijkl,ki->jl", g4, sigma_a), sigma_b)):
+                step = np.eye(r.shape[0]) + e * r
+                trial = step @ cur @ step.conj().T
+                pair.append((trial + trial.conj().T) / (2.0 * np.trace(trial).real))
+            new, new_grad = value_grad(sqrt_rho, np.kron(*pair))
+            if new > val:
+                (sigma_a, sigma_b), val, grad = pair, new, new_grad
+                e, steps = min(2.0 * e, 2.0 ** 52), steps - 1
+            elif val - new <= 1e-15 * val or 0.5 * e <= 1e-12:  # a tie, or give up
                 break
+            else:
+                e *= 0.5
         return sigma_a, sigma_b, val
 
     sqrt_rho = matrix_sqrt_psd(rho)
@@ -372,7 +372,8 @@ class TestBuresStack:
     def test_kernel_calls_on_a_fixed_target(self, monkeypatch):
         # 4 x 2 reduction of a pure state on 4 x 2 x 2 drawn from
         # default_rng([0, 0]), at the default 10 restarts: 102 calls while
-        # a side only gave up at eps <= 1e-12, 45 with the give-up on a tie
+        # each factor stepped alone and gave up only at eps <= 1e-12, 45
+        # with the give-up on a tie, 40 with both factors stepped at once
         rng = np.random.default_rng([0, 0])
         z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         m = (z / np.linalg.norm(z)).reshape(8, 2)
@@ -384,7 +385,46 @@ class TestBuresStack:
 
         monkeypatch.setattr(correlations, "_bures_value_grad", counted)
         c_distance_numeric(m @ m.conj().T, (4, 2), "bures")
-        assert len(calls) == 45
+        assert len(calls) == 40
+
+    def test_step_size_stays_finite_past_a_thousand_steps(self, monkeypatch):
+        # a 4 x 3 target of rank 4 on which a chain accepts over 1,024 steps:
+        # with eps doubled on each accepted step and no bound, the ascent
+        # overflowed after 1,025 kernel calls; with t = 1 / eps halved and no
+        # floor, t fell to 0 and the chain never stopped
+        g = np.random.default_rng(3)
+        for j in range(30):
+            d_b = 2 + j % 2
+            rho = random_density(4 * d_b, 2 + j % 9, g)
+            haar_unitary(4, g), haar_unitary(d_b, g)
+        default = c_distance_numeric(rho, (4, 3), "bures", rng=worker_rng(29, 1))
+        kernel, calls = correlations._bures_value_grad, []
+
+        def budgeted(sqrt_rho, sigma):
+            calls.append(len(sigma))
+            assert len(calls) <= 10_000, "the ascent did not stop"
+            return kernel(sqrt_rho, sigma)
+
+        monkeypatch.setattr(correlations, "_bures_value_grad", budgeted)
+        monkeypatch.setattr(correlations, "_BURES_STEPS", 4000)
+        value, sigma_a, sigma_b = KINDS["bures"].closest(
+            *validate_density_matrix(rho), 4, 3, 10, worker_rng(29, 1))
+        assert len(calls) > 1025
+        assert value < default
+        assert abs(bures_distance(rho, np.kron(sigma_a, sigma_b)) - value) <= 1e-12
+
+    def test_value_is_invariant_under_local_unitaries(self):
+        # at one restart the ascent starts from the marginals, which rotate
+        # with the target, so C(U rho U^dagger) = C(rho) for U = U_A x U_B
+        # to rounding; the largest |dC| seen here was 6.6e-15
+        g = worker_rng(75)
+        for j in range(40):
+            d_b = 2 + j % 2
+            rho = random_density(4 * d_b, 2 + j // 2 % (4 * d_b - 1), g)
+            u = np.kron(haar_unitary(4, g), haar_unitary(d_b, g))
+            value = c_distance_numeric(rho, (4, d_b), "bures", restarts=1)
+            rotated = c_distance_numeric(u @ rho @ u.conj().T, (4, d_b), "bures", restarts=1)
+            assert abs(rotated - value) <= 1e-12
 
     def test_no_generator_draws_from_stream_zero(self):
         targets = worker_rng(73)
