@@ -6,16 +6,17 @@ Commands: curve | verify | tightness | ccbound | gd, flags before or after.
 Output is CSV with 17-significant-digit floats (%.17g), or JSON with
 Python's shortest round-trip floats, with LF endings. A JSON "config" block
 records every RunConfig field, --out included, so the same run written to
-two paths differs in that one field. Exit codes: 0 success, 2 config
-error, 3 I/O error, 4 assertion (violation) error.
+two paths differs in that one field, then opt_restarts and opt_iters as
+null. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
+(violation) error.
 
 The same config (seed and worker count included) gives the same bytes
-under one BLAS kernel. Under another (tests/test_blas_kernels.py) the
-grids and closed forms keep their bytes: curve, gd, verify's idx and
+under one BLAS kernel. Under another (tests/kernel_bounds.py) the grids
+and closed forms keep their bytes: curve, gd, verify's idx and
 tightness's x, bound and c_pure. Columns through LAPACK move by rounding,
 at most: verify's x 1.5e-14, e 1e-15, bound and slack 1e-14; tightness's
 ef_numeric and gap_numeric 2e-14, ef_construct and gap_construct 2e-15;
-ccbound's c_numeric and ef_a 0 at grid 6 (1.1e-16 seen at grid 50).
+ccbound's c_numeric and c_gap 1e-15 (1.1e-16 seen at grids 20 and 50).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import __version__
 from .bounds import LN2, bound_curve, g_d_numeric, optimal_slice_spectrum, xi_ef, zeta_ef
 from .correlations import KINDS, c_max
-from .measures import _ORBIT_ITERS, _ORBIT_RESTARTS, _ef_eig, _max_ef_orbit, _max_ef_states
+from .measures import _ef_eig, _max_ef_orbit, _max_ef_states
 from .qcore import (
     DomainError,
     _partial_trace,
@@ -96,10 +97,6 @@ class RunConfig:
     format: str = "csv"
     full: bool = False
     workers: int = 1
-    # Nothing reads these two; they stay only as null in the JSON "config"
-    # block, whose bytes record every field.
-    opt_restarts: int | None = None
-    opt_iters: int | None = None
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -162,7 +159,8 @@ def _emit(cfg: RunConfig, columns: dict | None, summary: dict) -> None:
         lines.append("")  # the final LF, without a second copy of the text
         text = "\n".join(lines)
     else:
-        report = {"config": asdict(cfg), "summary": summary}
+        config = {**asdict(cfg), "opt_restarts": None, "opt_iters": None}
+        report = {"config": config, "summary": summary}
         if columns is not None:
             report["records"] = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(report, indent=2) + "\n"
@@ -271,7 +269,7 @@ def run_tightness(cfg: RunConfig) -> tuple:
     # stream point index + 1, also when all points climb as one stack; the
     # ascents themselves draw nothing.
     rngs = [worker_rng(cfg.seed, i + 1) for i in range(len(xs))]
-    e_num, _ = _max_ef_orbit(q, _ORBIT_RESTARTS, _ORBIT_ITERS, rngs)
+    e_num, _ = _max_ef_orbit(q, rngs)
     _, w, u = validate_density_stack(_max_ef_states(q))
     built = w[:, ::-1]
     if not (np.abs(built - q) <= 1e-9).all():
@@ -296,8 +294,8 @@ def run_ccbound(cfg: RunConfig) -> tuple:
     witness on f_cc_kind = scale x, whose correlation is x; c_gap compares
     c_numeric, the row's distance to the product states, with x. The
     states are built as one stack and validated once; ef_a is read from
-    the eigh of their A-marginals. No kind with a cc curve has the Bures
-    kernel, the one closest that takes a search budget."""
+    the eigh of their A-marginals. Every kind with a cc curve has an
+    exact closest, so no search runs here."""
     row = KINDS[cfg.kind]
     cc_kind, scale = row.cc  # the CC correlation is f_cc_kind / scale
     xs = np.linspace(0.0, c_max(cc_kind, 4) / scale, cfg.grid)

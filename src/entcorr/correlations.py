@@ -15,9 +15,9 @@ every target, from one SVD of the realigned sqrt(rho), and for Bures on
 pure targets, from the top Schmidt pair. Bures on mixed targets stays
 iterative: monotone ascents of the root fidelity, each stepping both
 factors at once with one step size, from the marginals, from maximally
-mixed factors and from random full-rank factors. Their best value is
-attained by a product state, so it errs high. Every solver returns the
-product state it attains.
+mixed factors and from random full-rank factors, against the closest
+states with one factor pure. Their best value is attained by a product
+state, so it errs high. Every solver returns the product state it attains.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ class Kind:
       (CC) state with spectrum p has correlation f~(p) = f_cc_kind(p) / scale,
       so this kind's CC curve is zeta(x) = xi_cc_kind(scale x); None where no
       closed form is known.
-    - ``closest``: (rho, w, v, d_a, d_b[, restarts, rng]) -> (distance,
-      sigma_A, sigma_B) on unchecked inputs, (w, v) the eigh of rho: the
-      distance to the product states and a product state attaining it;
-      None for a kind that is no distance. Only Bures reads restarts and rng.
+    - ``closest``: (rho, w, v, d_a, d_b) -> (distance, sigma_A, sigma_B) on
+      unchecked inputs, (w, v) the eigh of rho: the distance to the product
+      states and a product state attaining it; None for a kind that is no
+      distance.
 
     The rest is derived: c_max(kind, d) is f at the uniform d-spectrum, the
     threshold of the closed-form curve is c_max(kind, 3), and the CC curve
@@ -142,10 +142,9 @@ def c_on_pure(psi, split, kind) -> float:
 # Numeric infimum over product states
 # ---------------------------------------------------------------------------
 
-def _hellinger_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int, *_):
+def _hellinger_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int):
     """Exact Hellinger distance to the product states, with a product state
-    attaining it. Further arguments (the search budget of the Bures oracle)
-    are ignored.
+    attaining it.
 
     For sigma = sigma_A x sigma_B, sqrt(sigma) = X x Y with ||X||_F =
     ||Y||_F = 1, and the affinity tr(sqrt(rho) (X x Y)) = vec(X^T)^T R vec(Y^T)
@@ -220,7 +219,7 @@ def _hradil_step(r: np.ndarray, cur: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 # Accepted steps after which a Bures ascent stops however much it still gains.
 _BURES_STEPS = 400
-_BURES_RESTARTS = 10  # ascents per mixed target, unless the caller sets them
+_BURES_RESTARTS = 10  # ascents per mixed target
 
 
 def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
@@ -267,8 +266,7 @@ def _polish_bures_mixed(sqrt_rho: np.ndarray, sigma_a, sigma_b):
     return sigma_a, sigma_b, val
 
 
-def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int,
-                   restarts: int = _BURES_RESTARTS, rng: np.random.Generator | None = None):
+def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b: int):
     """Bures distance from rho = v diag(w) v^dagger to the product states,
     with the product state (sigma_A, sigma_B) that attains it. Inputs are
     not validated.
@@ -276,42 +274,44 @@ def _bures_closest(rho: np.ndarray, w: np.ndarray, v: np.ndarray, d_a: int, d_b:
     On a pure target |psi> it is exact: the root fidelity with
     sigma_A x sigma_B is at most the top Schmidt coefficient of psi,
     attained by its top Schmidt pair. On a mixed target it keeps the best
-    of ``restarts`` ascents of _polish_bures_mixed, each stepping both
+    of _BURES_RESTARTS ascents of _polish_bures_mixed, each stepping both
     factors at once, from the marginals of rho, from maximally mixed
-    factors and from full-rank random factors, drawn from ``rng`` (None:
-    worker_rng(0, 0)) as random_density(d_A) then random_density(d_B) for
-    each later restart, full rank as a Hradil step R sigma R^dagger keeps
-    the rank. The ascents run as one stack, each with the trials of its
-    solo run; the first of equal best values is kept. ``restarts`` and
-    ``rng`` act on this case only.
+    factors and from full-rank random factors, drawn from worker_rng(0, 0)
+    as random_density(d_A) then random_density(d_B) for each later
+    restart, full rank as a Hradil step R sigma R^dagger keeps the rank.
+    The ascents run as one stack, each with the trials of its solo run.
+    Last come the closest states with one factor pure, which no ascent
+    reaches: F(rho, sigma_A x |b><b|) = F(sigma_A, <b|rho|b>) is at most
+    sqrt(<b|rho_B|b>), at sigma_A = <b|rho|b> / <b|rho_B|b>, so b is the
+    top eigenvector of rho_B; A pure likewise. The first best value stays.
     """
     if np.trace(rho @ rho).real > 1.0 - 1e-12:
         psi = v[:, -1].reshape(d_a, d_b)
         u, s, vh = np.linalg.svd(psi)
         sigma_a, sigma_b = np.outer(u[:, 0], u[:, 0].conj()), np.outer(vh[0], vh[0].conj())
         return _distance_sv(s), sigma_a, sigma_b
-    rng = worker_rng(0, 0) if rng is None else rng
-    starts_a = [_partial_trace(rho, d_a, d_b, 1), np.eye(d_a) / d_a]
-    starts_b = [_partial_trace(rho, d_a, d_b, 2), np.eye(d_b) / d_b]
-    for _ in range(2, restarts):
+    rng = worker_rng(0, 0)
+    rho_a, rho_b = _partial_trace(rho, d_a, d_b, 1), _partial_trace(rho, d_a, d_b, 2)
+    starts_a, starts_b = [rho_a, np.eye(d_a) / d_a], [rho_b, np.eye(d_b) / d_b]
+    for _ in range(2, _BURES_RESTARTS):
         starts_a.append(random_density(d_a, d_a, rng))
         starts_b.append(random_density(d_b, d_b, rng))
-    sigma_a, sigma_b, aff = _polish_bures_mixed(
-        _sqrt_psd(w, v),
-        np.array(starts_a[:restarts], dtype=complex),
-        np.array(starts_b[:restarts], dtype=complex),
-    )
+    sqrt_rho = _sqrt_psd(w, v)
+    starts = (np.array(m[:_BURES_RESTARTS], dtype=complex) for m in (starts_a, starts_b))
+    sigma_a, sigma_b, aff = _polish_bures_mixed(sqrt_rho, *starts)
+    r4 = rho.reshape(d_a, d_b, d_a, d_b)
+    a, b = (np.linalg.eigh(m)[1][:, -1] for m in (rho_a, rho_b))
+    b_given_a = np.einsum("i,ijkl,k->jl", a.conj(), r4, a)
+    a_given_b = np.einsum("j,ijkl,l->ik", b.conj(), r4, b)
+    face_a = np.array([np.outer(a, a.conj()), a_given_b / np.trace(a_given_b).real])
+    face_b = np.array([b_given_a / np.trace(b_given_a).real, np.outer(b, b.conj())])
+    sigma_a, sigma_b = np.concatenate([sigma_a, face_a]), np.concatenate([sigma_b, face_b])
+    aff = np.concatenate([aff, _bures_value_grad(sqrt_rho, _kron(face_a, face_b))[0]])
     best = int(np.argmax(aff))
     return _distance(aff[best]), sigma_a[best], sigma_b[best]
 
 
-def c_distance_numeric(
-    rho,
-    split,
-    kind,
-    restarts: int = _BURES_RESTARTS,
-    rng: np.random.Generator | None = None,
-) -> float:
+def c_distance_numeric(rho, split, kind) -> float:
     """Distance from rho to the product-state set, attained by a product state.
 
     Hellinger is exact on every target: sqrt(2 (1 - s1)), with s1 the
@@ -320,19 +320,21 @@ def c_distance_numeric(
     Both take it as sqrt((1 - s1)^2 + sum_{i>=2} s_i^2) over all singular
     values s_i, which is equal since sum_i s_i^2 = 1, and reads 0 to
     rounding at a product target, where the first form cancels.
-    Bures on mixed targets runs ``restarts`` monotone ascents of the root
-    fidelity (diluted Hradil steps of both factors at once, one step size
-    per ascent; an ascent stops once a failed trial leaves its step at most
-    1e-12 or ties the current fidelity within 1e-15 relative, or after
+    Bures on mixed targets runs _BURES_RESTARTS monotone ascents of the
+    root fidelity (diluted Hradil steps of both factors at once, one step
+    size per ascent; an ascent stops once a failed trial leaves its step at
+    most 1e-12 or ties the current fidelity within 1e-15 relative, or after
     _BURES_STEPS accepted steps), the first from the marginals of rho, the
     second from maximally mixed factors, the rest from full-rank random
-    factors drawn from ``rng`` (None: worker_rng(0, 0)), and returns the
-    best. The ascents run as one stack, and each makes the trials of its
-    solo run, so the value does not depend on how many run beside it. That
-    value is attained by a product state, so it errs high: never below the
-    true infimum; the objective is not jointly concave in the two factors,
-    and the random starts reach basins that the two fixed starts miss.
-    ``restarts`` and ``rng`` act on Bures mixed targets only.
+    factors drawn from worker_rng(0, 0), and returns the best of them and
+    of the closest states with one factor pure (see _bures_closest), so
+    it never exceeds sqrt(2 - 2 sqrt(lambda_max)) for the larger top
+    eigenvalue of the two marginals. The ascents run as one stack, and
+    each makes the trials of its solo run, so the value does not depend
+    on how many run beside it. That value is attained by a product state,
+    so it errs high: never below the true infimum; the objective is not
+    jointly concave in the two factors, and the random starts reach
+    basins that the two fixed starts miss.
     """
     row = kind_of(kind)
     if row.closest is None:
@@ -341,9 +343,7 @@ def c_distance_numeric(
     d_a, d_b = _check_split(rho.shape[0], split)
     if d_a * d_b > 64:
         raise DomainError("supported up to total dimension 64")
-    if _check_index(restarts, "restarts") < 1:
-        raise DomainError("need restarts >= 1")
-    return float(row.closest(rho, w, v, d_a, d_b, restarts, rng)[0])
+    return float(row.closest(rho, w, v, d_a, d_b)[0])
 
 
 # ---------------------------------------------------------------------------

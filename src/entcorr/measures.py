@@ -28,7 +28,6 @@ from . import bounds
 from .bounds import _max_concurrence, _s22
 from .qcore import (
     DomainError,
-    _check_index,
     _check_split,
     _on_support,
     haar_unitary,
@@ -157,12 +156,11 @@ _SIGN = np.repeat([0.0, 1.0, -1.0], [4, 6, 6])
 _SCALE = np.repeat([1.0, 1.0 / math.sqrt(2.0)], [4, 12])
 _EYE16 = np.eye(16)
 
-# Quasi-Newton ascent: the default budget of chains per spectrum and steps
-# per chain, Armijo constant, the ratio mu_r / (mu_{r-1} - mu_r) below
-# which a chain on a spectrum of rank r = 2 or 3 steps onto the face
-# mu_r = 0, halvings per line search, largest step norm, curvature needed
-# for an update, the stopping gradient, and the relative resolution of F
-# below which a rise is rounding noise.
+# Quasi-Newton ascent: chains per spectrum, steps per chain, Armijo constant,
+# the ratio mu_r / (mu_{r-1} - mu_r) below which a chain on a spectrum of rank
+# r = 2 or 3 steps onto the face mu_r = 0, halvings per line search, largest
+# step norm, curvature needed for an update, the stopping gradient, and the
+# relative resolution of F below which a rise is rounding noise.
 _ORBIT_RESTARTS, _ORBIT_ITERS = 8, 300
 _ARMIJO = 1e-4
 _FACE = 0.1
@@ -275,11 +273,11 @@ def _face_step(vectors, q: np.ndarray, g: np.ndarray):
     return on, g, np.where(on, mu_r, 0.0), jac, jp, mu_r
 
 
-def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
-    """Best E_f over ``restarts`` quasi-Newton ascents on the unitary orbit
-    of diag(q) for each spectrum of a stack q shaped (P, 4), with ``rngs``
-    one generator per spectrum. Returns the P values and the P unitaries U
-    of the best chains. Inputs are not validated.
+def _max_ef_orbit(q: np.ndarray, rngs):
+    """Best E_f over _ORBIT_RESTARTS quasi-Newton ascents on the unitary
+    orbit of diag(q) for each spectrum of a stack q shaped (P, 4), with
+    ``rngs`` one generator per spectrum. Returns the P values and the P
+    unitaries U of the best chains. Inputs are not validated.
 
     Each chain climbs the unclipped F(U) = mu1 - mu2 - mu3 - mu4 of
     _orbit_objective by BFGS in the 16 coordinates of the generator H of
@@ -290,7 +288,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     max(1, |F|): a later Armijo pass could only be rounding noise. The
     16 x 16 inverse Hessian is updated only when s^T y > _CURVATURE, and
     reset to the identity when its direction is not an ascent. A chain
-    stops after ``iters`` steps, at a gradient norm below _GRAD_TOL, or
+    stops after _ORBIT_ITERS steps, at a gradient norm below _GRAD_TOL, or
     when its line search fails.
 
     On a spectrum of rank r = 2 or 3 the mu beyond r vanish, and the
@@ -312,13 +310,13 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     so they take none of these steps.
 
     Chain 0 of each spectrum starts at the identity, the others at Haar
-    unitaries drawn in turn from its generator. All P x restarts chains
-    run as one stack, and every operation acts on each chain alone, so a
-    spectrum's values equal those of a call with it alone. The value is
-    v of _concurrence_eig at the chain's last U, which is its witness, so
-    it errs low up to rounding: it is E_f of an orbit point.
+    unitaries drawn in turn from its generator. All P x _ORBIT_RESTARTS
+    chains run as one stack, and every operation acts on each chain alone,
+    so a spectrum's values equal those of a call with it alone. The value is
+    v of _concurrence_eig at the chain's last U, which is its witness, so it
+    errs low up to rounding: it is E_f of an orbit point.
     """
-    points = len(q)
+    points, restarts = len(q), _ORBIT_RESTARTS
     chains = points * restarts
     u = np.empty((chains, 4, 4), dtype=complex)
     for i, rng in enumerate(rngs):
@@ -336,7 +334,7 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     # chain's line search does not wait for the others'.
     fresh, live = np.arange(chains), np.arange(0)
     while True:
-        fresh = fresh[(steps[fresh] < iters)
+        fresh = fresh[(steps[fresh] < _ORBIT_ITERS)
                       & (np.sqrt((g[fresh] ** 2).sum(axis=1)) + lift[fresh] >= _GRAD_TOL)]
         if fresh.size:
             df = (hinv[fresh] @ g[fresh][:, :, None])[:, :, 0]
@@ -386,20 +384,15 @@ def _max_ef_orbit(q: np.ndarray, restarts: int, iters: int, rngs):
     return value[point, best], u.reshape(points, restarts, 4, 4)[point, best]
 
 
-def max_ef_over_spectrum_numeric(
-    p,
-    restarts: int = _ORBIT_RESTARTS,
-    iters: int = _ORBIT_ITERS,
-    rng: np.random.Generator | None = None,
-) -> float:
+def max_ef_over_spectrum_numeric(p) -> float:
     """Best E_f found over the unitary orbit of diag(p) by quasi-Newton ascent.
 
-    ``restarts`` chains, the first from the identity and the others from
-    Haar unitaries drawn from ``rng``, each climb mu1 - mu2 - mu3 - mu4 of
-    the orbit point U diag(p) U^dagger by BFGS with an analytic gradient
-    and Armijo backtracking, for at most ``iters`` steps. A chain ends
-    when its line search fails: after 40 halvings, or sooner, once a
-    rejected trial's predicted rise is below F's rounding resolution
+    _ORBIT_RESTARTS chains, the first from the identity and the others from
+    Haar unitaries drawn from worker_rng(0, 0), each climb mu1 - mu2 - mu3 -
+    mu4 of the orbit point U diag(p) U^dagger by BFGS with an analytic
+    gradient and Armijo backtracking, for at most _ORBIT_ITERS steps. A
+    chain ends when its line search fails: after 40 halvings, or sooner,
+    once a rejected trial's predicted rise is below F's rounding resolution
     1e-15 * max(1, |F|). Independent of the closed-form cap and of
     MAX_EF_BASIS, it serves as their oracle. The value is E_f at the best
     chain's last unitary U, which is its witness (see _max_ef_orbit),
@@ -412,10 +405,4 @@ def max_ef_over_spectrum_numeric(
     flat, and chains can end near the point that pairs the second with the
     third (misses up to 1.1e-4 in E_f were seen).
     """
-    q = pad_spectrum(p, 4)
-    if _check_index(restarts, "restarts") < 1:
-        raise DomainError("need restarts >= 1")
-    if _check_index(iters, "iters") < 0:
-        raise DomainError("need iters >= 0")
-    rng = worker_rng(0, 0) if rng is None else rng
-    return float(_max_ef_orbit(q[None], restarts, iters, [rng])[0][0])
+    return float(_max_ef_orbit(pad_spectrum(p, 4)[None], [worker_rng(0, 0)])[0][0])

@@ -1,9 +1,7 @@
 """The same config under two BLAS kernels.
 
-An OpenBLAS built with DYNAMIC_ARCH picks its kernel per process, and
-OPENBLAS_CORETYPE forces one. Prescott runs on any x86-64 CPU. The CLI's
-bytes hold per kernel: the grids and the closed forms are kernel-exact, and
-the columns that pass through LAPACK move by rounding.
+Prescott runs on any x86-64 CPU. The CLI's bytes hold per kernel, and
+between kernels each column moves by at most its bound in KERNEL_BOUNDS.
 """
 
 import json
@@ -17,6 +15,7 @@ import numpy as np
 import pytest
 
 import entcorr
+from kernel_bounds import KERNEL_BOUNDS
 
 
 def _dynamic_openblas() -> bool:
@@ -27,21 +26,17 @@ def _dynamic_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-# Each command with the largest move allowed per column, about ten times the
-# largest seen between the SkylakeX kernel and Prescott, Sandybridge or
-# Haswell. A column not listed keeps its bytes.
-_NUMERIC = {"ef_numeric": 2e-14, "gap_numeric": 2e-14, "ef_construct": 2e-15, "gap_construct": 2e-15}
-_SAMPLED = {"x": 1.5e-14, "e": 1e-15, "bound": 1e-14, "slack": 1e-14}
-MATRIX = {
-    "tightness --grid 3": _NUMERIC,
-    "tightness --grid 3 --kind bures": _NUMERIC,
-    "gd": {},
-    "gd --kind bures": {},
-    "ccbound --grid 6": {},
-    "curve --kind mutual_information": {},
-    "verify --samples 2000": _SAMPLED,
-    "verify --samples 2000 --kind mutual_information": _SAMPLED,
-}
+# The commands run under both kernels; KERNEL_BOUNDS bounds their columns.
+MATRIX = [
+    "tightness --grid 3",
+    "tightness --grid 3 --kind bures",
+    "gd",
+    "gd --kind bures",
+    "ccbound --grid 6",
+    "curve --kind mutual_information",
+    "verify --samples 2000",
+    "verify --samples 2000 --kind mutual_information",
+]
 
 # Runs each command of the matrix in one process; prints the exit codes and stdout.
 _CHILD = """
@@ -63,7 +58,7 @@ def _run_matrix(coretype):
     env.pop("OPENBLAS_CORETYPE", None)
     if coretype is not None:
         env["OPENBLAS_CORETYPE"] = coretype
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(list(MATRIX))],
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(MATRIX)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -76,9 +71,9 @@ def _table(text):
 @pytest.mark.skipif(platform.machine() != "x86_64" or not _dynamic_openblas(),
                     reason="needs an x86-64 OpenBLAS built with DYNAMIC_ARCH")
 def test_same_config_under_two_blas_kernels():
-    for (argv, bounds), (code, text), (code_p, text_p) in zip(
-        MATRIX.items(), _run_matrix(None), _run_matrix("Prescott")
-    ):
+    runs = zip(MATRIX, _run_matrix(None), _run_matrix("Prescott"))
+    for argv, (code, text), (code_p, text_p) in runs:
+        bounds = KERNEL_BOUNDS.get(argv.split()[0], {})
         assert code == code_p == 0, argv
         header, native = _table(text)
         header_p, prescott = _table(text_p)

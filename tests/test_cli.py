@@ -308,7 +308,9 @@ class TestJSONMatchesCSV:
         assert all(abs(math.fsum(p) - 1.0) <= 1e-12 for p in spectra)
         assert report["records"] == [dict(zip(header, map(float, row))) for row in rows]
         parsed = cli.config_from_args(cli.build_parser().parse_args(json_argv))
-        assert report["config"] == asdict(parsed)
+        # every field, then two retired ones kept as null
+        assert report["config"] == {**asdict(parsed), "opt_restarts": None, "opt_iters": None}
+        assert list(report["config"])[-2:] == ["opt_restarts", "opt_iters"]
         assert report["config"]["out"] == str(tmp_path / "r.json")
 
 

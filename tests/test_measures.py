@@ -231,53 +231,55 @@ class TestMaxEfState:
 
 class TestMaxEfNumeric:
     def test_point_mass_reaches_bell(self):
-        val = max_ef_over_spectrum_numeric(np.array([1.0]), rng=worker_rng(1, 1))
+        val = max_ef_over_spectrum_numeric(np.array([1.0]))
         assert abs(val - LN2) < 1e-6
 
     def test_uniform_orbit_is_trivial(self):
-        val = max_ef_over_spectrum_numeric(np.full(4, 0.25), rng=worker_rng(1, 2))
+        val = max_ef_over_spectrum_numeric(np.full(4, 0.25))
         assert val == 0.0
 
     def test_half_half(self):
-        val = max_ef_over_spectrum_numeric(np.array([0.5, 0.5]), rng=worker_rng(1, 3))
+        val = max_ef_over_spectrum_numeric(np.array([0.5, 0.5]))
         assert abs(val - v(0.5)) < 1e-3
 
-    def test_lemma2_sandwich_small(self):
+    def test_lemma2_sandwich_small(self, monkeypatch):
         # numeric never exceeds the cap; the construction attains it
+        monkeypatch.setattr(measures, "_ORBIT_RESTARTS", 3)
+        monkeypatch.setattr(measures, "_ORBIT_ITERS", 200)
         rng = worker_rng(14)
         for i in range(100):
             p = random_spectrum(4, rng)
             bound = LN2 - s22_ef(p)
-            numeric = max_ef_over_spectrum_numeric(
-                p, restarts=3, iters=200, rng=worker_rng(15, i)
-            )
+            numeric = _max_ef_orbit(pad_spectrum(p, 4)[None], [worker_rng(15, i)])[0][0]
             assert numeric <= bound + 1e-6
             assert abs(entanglement_of_formation(max_ef_state(p)) - bound) < 1e-6
 
-    def test_witness_attains_the_value(self):
+    def test_witness_attains_the_value(self, monkeypatch):
         # the witness U re-checks through the public entanglement_of_formation
+        monkeypatch.setattr(measures, "_ORBIT_RESTARTS", 3)
+        monkeypatch.setattr(measures, "_ORBIT_ITERS", 200)
         rng = worker_rng(20)
-        for i, rank in enumerate((4, 3, 2, 1, 4)):
+        for rank in (4, 3, 2, 1, 4):
             p = random_spectrum(rank, rng)
             q = pad_spectrum(p, 4)
-            values, witnesses = _max_ef_orbit(q[None], 3, 200, [worker_rng(21, i)])
+            values, witnesses = _max_ef_orbit(q[None], [worker_rng(0, 0)])
             value, u = values[0], witnesses[0]
-            assert value == max_ef_over_spectrum_numeric(
-                p, restarts=3, iters=200, rng=worker_rng(21, i)
-            )
+            assert value == max_ef_over_spectrum_numeric(p)
             assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
             assert abs(entanglement_of_formation((u * q) @ u.conj().T) - value) <= 1e-12
             assert value <= LN2 - s22_ef(p) + 1e-9
 
-    def test_stacked_points_match_single_calls(self):
+    def test_stacked_points_match_single_calls(self, monkeypatch):
         # chains of one point stop at other steps than those of the others
+        monkeypatch.setattr(measures, "_ORBIT_RESTARTS", 3)
+        monkeypatch.setattr(measures, "_ORBIT_ITERS", 37)
         rng = worker_rng(25)
         q = np.array([pad_spectrum(random_spectrum(k, rng), 4) for k in (4, 2, 3, 1)])
         rngs = [worker_rng(26, i) for i in range(len(q))]
-        values, witnesses = _max_ef_orbit(q, 3, 37, rngs)
+        values, witnesses = _max_ef_orbit(q, rngs)
         for i, row in enumerate(q):
             single_rng = worker_rng(26, i)
-            value, witness = _max_ef_orbit(row[None], 3, 37, [single_rng])
+            value, witness = _max_ef_orbit(row[None], [single_rng])
             assert values[i] == value[0]
             assert np.array_equal(witnesses[i], witness[0])
             assert rngs[i].bit_generator.state == single_rng.bit_generator.state
@@ -287,7 +289,7 @@ class TestMaxEfNumeric:
         misses = []
         for i in range(12):
             p = random_spectrum(1 + i % 4, rng)
-            value = max_ef_over_spectrum_numeric(p, rng=worker_rng(28, i))
+            value = _max_ef_orbit(pad_spectrum(p, 4)[None], [worker_rng(28, i)])[0][0]
             misses.append(LN2 - s22_ef(p) - value)
         assert min(misses) >= -1e-13  # errs low, up to rounding
         assert max(misses) <= 1e-4
@@ -300,7 +302,7 @@ class TestMaxEfNumeric:
         rng = worker_rng(7)
         spectra = [random_spectrum(1 + i % 4, rng) for i in range(86)]
         q = np.array([pad_spectrum(p, 4) for p in spectra])
-        values, _ = _max_ef_orbit(q, 8, 300, [worker_rng(8, i) for i in range(86)])
+        values, _ = _max_ef_orbit(q, [worker_rng(8, i) for i in range(86)])
         misses = np.array([LN2 - s22_ef(p) for p in spectra]) - values
         assert misses.min() >= -1e-13  # errs low, up to rounding
         assert misses[18] <= 2e-6
@@ -318,7 +320,7 @@ class TestMaxEfNumeric:
             return kernel(u, q)
 
         monkeypatch.setattr(measures, "_orbit_objective", counted)
-        _max_ef_orbit(np.array([[0.8125, 0.1875, 0.0, 0.0]]), 8, 300, [worker_rng(0, 2)])
+        _max_ef_orbit(np.array([[0.8125, 0.1875, 0.0, 0.0]]), [worker_rng(0, 2)])
         assert len(calls) == 14
 
     @pytest.mark.parametrize("rank, count, seed", [(2, 200, 41), (3, 100, 45)])
@@ -331,22 +333,19 @@ class TestMaxEfNumeric:
         rng = worker_rng(seed)
         spectra = [random_spectrum(rank, rng) for _ in range(count)]
         q = np.array([pad_spectrum(p, 4) for p in spectra])
-        values, _ = _max_ef_orbit(q, 8, 300, [worker_rng(seed + 1, i) for i in range(count)])
+        values, _ = _max_ef_orbit(q, [worker_rng(seed + 1, i) for i in range(count)])
         misses = np.array([LN2 - s22_ef(p) for p in spectra]) - values
         assert misses.min() >= -1e-13  # errs low, up to rounding
         assert misses.max() <= 1e-13
 
-    def test_no_steps_evaluates_the_starts(self):
+    def test_no_steps_evaluates_the_starts(self, monkeypatch):
+        monkeypatch.setattr(measures, "_ORBIT_RESTARTS", 1)
+        monkeypatch.setattr(measures, "_ORBIT_ITERS", 0)
         p = random_spectrum(4, worker_rng(29))
         q = pad_spectrum(p, 4)
-        value, witness = _max_ef_orbit(q[None], 1, 0, [worker_rng(30)])
+        value, witness = _max_ef_orbit(q[None], [worker_rng(30)])
         assert np.array_equal(witness[0], np.eye(4))
         assert value[0] == v(_concurrence_eig(np.eye(4, dtype=complex), q))
-
-    @pytest.mark.parametrize("budget", [{"restarts": 0}, {"iters": -1}])
-    def test_rejects_empty_budget(self, budget):
-        with pytest.raises(DomainError):
-            max_ef_over_spectrum_numeric(np.array([0.5, 0.5]), **budget)
 
 
 class TestOrbitGradient:
@@ -406,7 +405,7 @@ class TestOrbitGradient:
         rng = worker_rng(36)
         ranks = np.tile([1, 2, 3, 4], 2)
         q = np.array([pad_spectrum(random_spectrum(r, rng), 4) for r in ranks])
-        ends = _max_ef_orbit(q[:4], 8, 300, [worker_rng(37, i) for i in range(4)])[1]
+        ends = _max_ef_orbit(q[:4], [worker_rng(37, i) for i in range(4)])[1]
         u = np.concatenate([ends, [haar_unitary(4, rng) for _ in range(4)]])
         _, g, vectors = _orbit_objective(u, q)
         on, g_face, lift, jac, jp, mu_r = out = _face_step(vectors, q, g)
@@ -468,8 +467,10 @@ class TestSeparabilityConditions:
             separable = p[0] <= p[2] + 2.0 * math.sqrt(p[1] * p[3])
             assert separable == (max_concurrence(p) <= 0.0)
 
-    def test_separable_spectra_have_zero_numeric_max(self):
+    def test_separable_spectra_have_zero_numeric_max(self, monkeypatch):
         # on absolutely separable spectra the orbit search finds no entanglement
+        monkeypatch.setattr(measures, "_ORBIT_RESTARTS", 2)
+        monkeypatch.setattr(measures, "_ORBIT_ITERS", 100)
         rng = worker_rng(16)
         found = 0
         i = 0
@@ -479,9 +480,7 @@ class TestSeparabilityConditions:
             if max_concurrence(p) != 0.0:
                 continue
             found += 1
-            val = max_ef_over_spectrum_numeric(
-                p, restarts=2, iters=100, rng=worker_rng(17, i)
-            )
+            val = _max_ef_orbit(pad_spectrum(p, 4)[None], [worker_rng(17, i)])[0][0]
             assert val <= 1e-6
 
     def test_zhsl_within_abs_sep_at_2x2(self):

@@ -3,7 +3,7 @@ import pytest
 
 from entcorr.bounds import optimal_slice_spectrum
 from entcorr.correlations import c_distance_numeric, f_value, mutual_information
-from entcorr.measures import max_concurrence, max_ef_over_spectrum_numeric, negativity
+from entcorr.measures import max_concurrence, negativity
 from entcorr.qcore import (
     CapacityError,
     DomainError,
@@ -282,9 +282,6 @@ class TestConstructors:
             call()
 
     @pytest.mark.parametrize("call", [
-        lambda: c_distance_numeric(np.eye(4) / 4, (2, 2), "bures", restarts=2.5),
-        lambda: max_ef_over_spectrum_numeric([0.5, 0.5], restarts=2.5),
-        lambda: max_ef_over_spectrum_numeric([0.5, 0.5], iters=2.5),
         lambda: haar_pure(2.5, worker_rng(0)),
         lambda: haar_unitary(2.5, worker_rng(0)),
         lambda: random_density(2.5, 2, worker_rng(0)),
@@ -292,10 +289,8 @@ class TestConstructors:
         lambda: random_spectrum(2.5, worker_rng(0)),
         lambda: worker_rng(1.5),
         lambda: worker_rng(1, 0.5),
-    ], ids=["c_distance_numeric-restarts", "max_ef_over_spectrum_numeric-restarts",
-            "max_ef_over_spectrum_numeric-iters", "haar_pure", "haar_unitary",
-            "random_density-dim", "random_density-ancilla_dim", "random_spectrum",
-            "worker_rng-seed", "worker_rng-worker_index"])
+    ], ids=["haar_pure", "haar_unitary", "random_density-dim", "random_density-ancilla_dim",
+            "random_spectrum", "worker_rng-seed", "worker_rng-worker_index"])
     def test_non_integer_size_or_budget_is_rejected(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
