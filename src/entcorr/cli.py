@@ -11,7 +11,8 @@ null. Exit codes: 0 success, 2 config error, 3 I/O error, 4 assertion
 (violation) error.
 
 The same config (seed and worker count included) gives the same bytes
-under one BLAS kernel. Under another (tests/kernel_bounds.py) the grids
+under one BLAS kernel. Under another (KERNEL_BOUNDS in
+tests/test_golden.py, which runs its matrix under a second kernel) the grids
 and closed forms keep their bytes: curve, gd, verify's idx and
 tightness's x, bound and c_pure. Columns through LAPACK move by rounding,
 at most: verify's x 1.5e-14, e 1e-15, bound and slack 1e-14; tightness's

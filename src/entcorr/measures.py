@@ -100,12 +100,13 @@ def entanglement_of_formation(rho) -> float:
 
 
 def negativity(rho, split) -> float:
-    """(||rho^T1||_1 - 1) / 2 via the partial transpose on factor 1."""
+    """(||rho^T1||_1 - 1) / 2 via the partial transpose on factor 1, clamped
+    at 0: rounding puts it below 0 on some separable states."""
     rho = validate_density_matrix(rho)[0]
     d1, d2 = _check_split(rho.shape[0], split)
     pt = rho.reshape(d1, d2, d1, d2).transpose(2, 1, 0, 3).reshape(d1 * d2, d1 * d2)
     w = np.linalg.eigvalsh(pt)
-    return float((np.abs(w).sum() - 1.0) / 2.0)
+    return float(max(0.0, (np.abs(w).sum() - 1.0) / 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,9 @@ class CapacityError(DomainError):
 
 
 def _check_index(n, name: str) -> int:
-    """n as an int; DomainError unless it is an integer."""
+    """n as an int; DomainError unless it is an integer other than a bool."""
+    if isinstance(n, bool):
+        raise DomainError(f"{name} must be an integer, got {n!r}")
     try:
         return operator.index(n)
     except TypeError:
@@ -60,11 +62,11 @@ def _check_index(n, name: str) -> int:
 
 
 def _check_split(dim: int, split) -> tuple[int, int]:
-    """The split (d1, d2) as ints; DomainError unless both are integers,
-    positive, and d1 * d2 is the state dimension ``dim``."""
+    """The split (d1, d2) as ints; DomainError unless both are integers
+    (not bools), positive, and d1 * d2 is the state dimension ``dim``."""
     try:
-        d1, d2 = (operator.index(d) for d in split)
-    except (TypeError, ValueError):
+        d1, d2 = (_check_index(d, "split") for d in split)
+    except (TypeError, ValueError):  # DomainError is a ValueError
         raise DomainError(f"split must be two integers, got {split!r}") from None
     if d1 < 1 or d2 < 1:
         raise DomainError(f"split dimensions must be positive, got ({d1}, {d2})")
@@ -238,11 +240,11 @@ def schmidt(psi, split) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def shannon_entropy(p) -> float:
-    return float(_entropy(validate_spectrum(p)))
+    return float(_entropy(validate_spectrum(p))) + 0.0  # no -0.0 at a point mass
 
 
 def von_neumann_entropy(rho) -> float:
-    return float(_entropy(spectrum(rho)))
+    return float(_entropy(spectrum(rho))) + 0.0  # no -0.0 at a pure state
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,15 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     return _sqrt_psd(*_psd_eigh(validate_hermitian(m)))
 
 
+def _roots(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(rho) and sqrt(sigma); DomainError unless both are states and
+    of one dimension."""
+    (_, w, v), (_, w_s, v_s) = validate_density_matrix(rho), validate_density_matrix(sigma)
+    if w.shape != w_s.shape:
+        raise DomainError(f"states of dimensions {w.size} and {w_s.size}")
+    return _sqrt_psd(w, v), _sqrt_psd(w_s, v_s)
+
+
 def bures_distance(rho, sigma) -> float:
     """||sqrt(rho) - sqrt(sigma) W||_F, minimized over unitaries W, in [0, sqrt(2)].
 
@@ -264,7 +275,7 @@ def bures_distance(rho, sigma) -> float:
     of a state to itself is 0 up to rounding, with no sqrt(2 - 2a) to
     magnify an affinity a that rounds below 1.
     """
-    a, b = (_sqrt_psd(*validate_density_matrix(m)[1:]) for m in (rho, sigma))
+    a, b = _roots(rho, sigma)
     u, _, vh = np.linalg.svd(b @ a)
     return float(np.linalg.norm(a - b @ u @ vh))
 
@@ -272,7 +283,7 @@ def bures_distance(rho, sigma) -> float:
 def hellinger_distance(rho, sigma) -> float:
     """||sqrt(rho) - sqrt(sigma)||_F, which is sqrt(2 - 2 tr(sqrt(rho) sqrt(sigma)))
     for unit trace, in [0, sqrt(2)]."""
-    a, b = (_sqrt_psd(*validate_density_matrix(m)[1:]) for m in (rho, sigma))
+    a, b = _roots(rho, sigma)
     return float(np.linalg.norm(a - b))
 
 

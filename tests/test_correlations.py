@@ -186,6 +186,11 @@ class TestCDistanceNumeric:
         for _ in range(20):
             mixed = np.kron(random_density(4, 4, rng), random_density(4, 4, rng))
             assert c_distance_numeric(mixed, (4, 4), "hellinger") <= 1e-14
+            # Bures reads 0 as well, but sqrt(2 - 2a) cannot resolve a root fidelity
+            # a that rounds to 1, so its witness is only that close: up to 1.7e-7 here
+            value, sigma_a, sigma_b = KINDS["bures"].closest(*validate_density_matrix(mixed), 4, 4)
+            assert value <= 1e-14
+            assert bures_distance(mixed, np.kron(sigma_a, sigma_b)) <= 1e-6
 
     def test_pure_states_match_closed_form(self):
         for i in range(10):

@@ -157,6 +157,15 @@ class TestNegativity:
     def test_maximally_mixed(self):
         assert abs(negativity(np.eye(4) / 4, (2, 2))) < 1e-12
 
+    def test_never_reads_below_zero(self):
+        # unclamped, 74 of these 200 product states read below 0, down to -5.6e-16
+        g = worker_rng(1)
+        states = [np.kron(random_density(2, 2, g), random_density(3, 3, g)) for _ in range(200)]
+        pure = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0]))
+        for rho in states + [pure]:
+            n = negativity(rho, (2, 3))
+            assert n >= 0.0 and not np.signbit(n)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
             negativity(np.eye(4) / 4, (2, 3))

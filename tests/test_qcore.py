@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entcorr.bounds import optimal_slice_spectrum
-from entcorr.correlations import c_distance_numeric, f_value, mutual_information
+from entcorr.correlations import c_distance_numeric, c_max, f_value, mutual_information
 from entcorr.measures import max_concurrence, negativity
 from entcorr.qcore import (
     CapacityError,
@@ -124,7 +124,11 @@ class TestSchmidt:
 
 class TestEntropies:
     def test_pure_state_zero(self):
-        assert von_neumann_entropy(np.outer(BELL, BELL.conj())) == 0.0
+        # +0.0, with no sign bit: the p ln p sum alone reads -0.0 here
+        pure = np.outer(BELL, BELL.conj())
+        for s in (von_neumann_entropy(pure), von_neumann_entropy(np.diag([1.0, 0.0])),
+                  shannon_entropy([1.0])):
+            assert s == 0.0 and not np.signbit(s)
 
     def test_maximally_mixed(self):
         assert abs(von_neumann_entropy(np.eye(4) / 4) - np.log(4)) < 1e-12
@@ -181,6 +185,12 @@ class TestDistances:
             rho = random_density(dim, 1 + i % dim, rng)
             assert bures_distance(rho, rho) <= 1e-13
             assert hellinger_distance(rho, rho) <= 1e-13
+
+    @pytest.mark.parametrize("dist", [bures_distance, hellinger_distance])
+    @pytest.mark.parametrize("sigma", [np.eye(1), np.eye(4) / 4], ids=["1x1", "4x4"])
+    def test_states_of_different_dimensions_are_rejected(self, dist, sigma):
+        with pytest.raises(DomainError, match="dimensions 2 and"):
+            dist(np.eye(2) / 2, sigma)
 
     def test_matrix_sqrt(self):
         rho = random_state(5, RNG)
@@ -275,8 +285,10 @@ class TestConstructors:
         lambda: negativity(np.eye(4) / 4, (np.float64(2.0), 2)),
         lambda: c_distance_numeric(np.eye(4) / 4, (2.5, 2), "hellinger"),
         lambda: strictly_correlated_cc([1.0], 2.5, 2),
+        lambda: partial_trace(np.eye(2) / 2, (True, 2), 1),
+        lambda: negativity(np.eye(2) / 2, (2, True)),
     ], ids=["partial_trace", "schmidt", "mutual_information", "negativity", "c_distance_numeric",
-            "strictly_correlated_cc"])
+            "strictly_correlated_cc", "partial_trace-bool", "negativity-bool"])
     def test_non_integer_split_is_rejected(self, call):
         with pytest.raises(DomainError):
             call()
@@ -289,8 +301,12 @@ class TestConstructors:
         lambda: random_spectrum(2.5, worker_rng(0)),
         lambda: worker_rng(1.5),
         lambda: worker_rng(1, 0.5),
+        lambda: haar_unitary(True, worker_rng(0)),
+        lambda: c_max("bures", True),
+        lambda: worker_rng(False),
     ], ids=["haar_pure", "haar_unitary", "random_density-dim", "random_density-ancilla_dim",
-            "random_spectrum", "worker_rng-seed", "worker_rng-worker_index"])
+            "random_spectrum", "worker_rng-seed", "worker_rng-worker_index", "haar_unitary-bool",
+            "c_max-bool", "worker_rng-bool"])
     def test_non_integer_size_or_budget_is_rejected(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
