@@ -28,7 +28,6 @@ import json
 import operator
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -236,8 +235,17 @@ def run_verify(cfg: RunConfig) -> tuple:
     if cfg.workers == 1:
         chunks = [_verify_chunk(job) for job in jobs]
     else:
-        # Jobs and streams follow cfg.workers; the pool never outnumbers the cores.
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, os.cpu_count() or 1)) as pool:
+        # Imported here, so that only a pool run loads the process-pool stack:
+        # multiprocessing, subprocess, socket, signal, selectors and logging.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Jobs and streams follow cfg.workers; the pool never outnumbers the
+        # processors this process may run on.
+        if hasattr(os, "sched_getaffinity"):
+            cores = len(os.sched_getaffinity(0))
+        else:
+            cores = os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, cores)) as pool:
             chunks = list(pool.map(_verify_chunk, jobs))  # index-ordered merge
 
     x, e, bound, lam = (np.concatenate(column) for column in zip(*chunks))

@@ -89,8 +89,8 @@ def _one_matrix(m) -> np.ndarray:
 def _hermitian_stack(m) -> np.ndarray:
     """Stack form of validate_hermitian: every matrix of an (..., d, d) array."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DomainError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise DomainError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().swapaxes(-1, -2))) > TOL_HERM:
@@ -156,7 +156,7 @@ def validate_spectrum(p) -> np.ndarray:
 
 def pad_spectrum(p, size: int) -> np.ndarray:
     """Zero-pad a spectrum on the right to the requested length."""
-    p = validate_spectrum(p)
+    p, size = validate_spectrum(p), _check_index(size, "size")
     if p.size > size:
         raise DomainError(f"spectrum has {p.size} components, at most {size} allowed")
     return np.concatenate([p, np.zeros(size - p.size)])
@@ -209,7 +209,7 @@ def partial_trace(rho, split, keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite state; ``keep`` is 1 or 2."""
     rho = validate_density_matrix(rho)[0]
     d1, d2 = _check_split(rho.shape[0], split)
-    if keep not in (1, 2):
+    if _check_index(keep, "keep") not in (1, 2):
         raise DomainError(f"keep must be 1 or 2, got {keep}")
     return _partial_trace(rho, d1, d2, keep)
 

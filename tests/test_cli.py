@@ -1,13 +1,16 @@
 """Command-line contract: determinism of the output bytes and the exit codes."""
 
+import concurrent.futures
 import contextlib
 import csv
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,8 +158,10 @@ class TestVerifyOutput:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        # without sched_getaffinity, the pool takes the processor count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         report = verify_json(tmp_path, "w64.json", ["--samples", "64", "--workers", "64"])
         assert sizes == [pool]
         assert report["config"]["workers"] == 64
@@ -168,6 +173,29 @@ class TestVerifyOutput:
             assert (records[i]["x"], records[i]["bound"], records[i]["spectrum"]) == (
                 x[0], bound[0], lam[0][lam[0] > 0.0].tolist()
             )
+        # with it, the processors this process may run on, whatever their count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        again = verify_json(tmp_path, "w64-affinity.json", ["--samples", "64", "--workers", "64"])
+        assert sizes == [pool, 2]
+        assert again["records"] == records
+
+    def test_one_worker_loads_no_process_pool(self, tmp_path):
+        # A fresh interpreter, since this one has imported the pool stack.
+        child = f"""
+import sys
+from entcorr.cli import main
+out = {str(tmp_path / "out")!r}
+for argv in (["curve"], ["gd"], ["tightness", "--grid", "3"], ["ccbound", "--grid", "2"],
+             ["verify", "--samples", "20"], ["verify", "--samples", "20", "--format", "json"]):
+    assert main([*argv, "--workers", "1", "--out", out]) == 0, argv
+print(sorted({{"concurrent.futures", "multiprocessing"}} & set(sys.modules)))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
 
     @pytest.mark.parametrize("fmt, limit", [("csv", 450), ("json", 200)])
     def test_peak_memory_per_sample(self, tmp_path, fmt, limit):

@@ -3,7 +3,7 @@ import pytest
 
 from entcorr.bounds import optimal_slice_spectrum
 from entcorr.correlations import c_distance_numeric, c_max, f_value, mutual_information
-from entcorr.measures import max_concurrence, negativity
+from entcorr.measures import concurrence, max_concurrence, negativity
 from entcorr.qcore import (
     CapacityError,
     DomainError,
@@ -13,6 +13,7 @@ from entcorr.qcore import (
     haar_unitary,
     hellinger_distance,
     matrix_sqrt_psd,
+    pad_spectrum,
     partial_trace,
     purify,
     random_density,
@@ -219,6 +220,24 @@ class TestStackValidators:
         stack = np.stack([rho, rho.conj()])
         assert validate_density_stack(stack.swapaxes(-1, -2)) is not None
 
+    @pytest.mark.parametrize("call", [
+        spectrum,
+        matrix_sqrt_psd,
+        von_neumann_entropy,
+        lambda m: bures_distance(m, m),
+        lambda m: hellinger_distance(m, m),
+        purify,
+        lambda m: partial_trace(m, (1, 1), 1),
+        lambda m: mutual_information(m, (1, 1)),
+        lambda m: c_distance_numeric(m, (1, 1), "hellinger"),
+        concurrence,
+    ], ids=["spectrum", "matrix_sqrt_psd", "von_neumann_entropy", "bures_distance",
+            "hellinger_distance", "purify", "partial_trace", "mutual_information",
+            "c_distance_numeric", "concurrence"])
+    def test_empty_matrix_is_rejected(self, call):
+        with pytest.raises(DomainError, match="nonempty square matrix"):
+            call(np.zeros((0, 0)))
+
 
 class TestNaNInputs:
     # NaN fails every comparison, so each check is written to fail on it
@@ -287,8 +306,11 @@ class TestConstructors:
         lambda: strictly_correlated_cc([1.0], 2.5, 2),
         lambda: partial_trace(np.eye(2) / 2, (True, 2), 1),
         lambda: negativity(np.eye(2) / 2, (2, True)),
+        lambda: partial_trace(np.eye(4) / 4, (2, 2), True),
+        lambda: partial_trace(np.eye(4) / 4, (2, 2), 1.0),
     ], ids=["partial_trace", "schmidt", "mutual_information", "negativity", "c_distance_numeric",
-            "strictly_correlated_cc", "partial_trace-bool", "negativity-bool"])
+            "strictly_correlated_cc", "partial_trace-bool", "negativity-bool",
+            "partial_trace-keep-bool", "partial_trace-keep-float"])
     def test_non_integer_split_is_rejected(self, call):
         with pytest.raises(DomainError):
             call()
@@ -304,9 +326,11 @@ class TestConstructors:
         lambda: haar_unitary(True, worker_rng(0)),
         lambda: c_max("bures", True),
         lambda: worker_rng(False),
+        lambda: pad_spectrum([1.0], True),
+        lambda: pad_spectrum([1.0], 2.5),
     ], ids=["haar_pure", "haar_unitary", "random_density-dim", "random_density-ancilla_dim",
             "random_spectrum", "worker_rng-seed", "worker_rng-worker_index", "haar_unitary-bool",
-            "c_max-bool", "worker_rng-bool"])
+            "c_max-bool", "worker_rng-bool", "pad_spectrum-bool", "pad_spectrum-float"])
     def test_non_integer_size_or_budget_is_rejected(self, call):
         with pytest.raises(DomainError, match="must be an integer"):
             call()
